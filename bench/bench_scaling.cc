@@ -63,7 +63,10 @@ void BM_ScalingApriori(benchmark::State& state) {
   core::ParallelResult result;
   for (auto _ : state) {
     result = core::MineParallel(problem, options);
-    if (!result.ok) state.SkipWithError("parallel run failed");
+    if (!result.ok) {
+      state.SkipWithError(
+          ("parallel run failed: " + result.diagnostic).c_str());
+    }
     benchmark::DoNotOptimize(result.mining.good_patterns.size());
   }
   FillCounters(state, result.wall_time, result.stats.tuple_ops,
@@ -99,7 +102,10 @@ void BM_ScalingSeqmine(benchmark::State& state) {
   core::ParallelResult result;
   for (auto _ : state) {
     result = core::MineParallel(problem, options);
-    if (!result.ok) state.SkipWithError("parallel run failed");
+    if (!result.ok) {
+      state.SkipWithError(
+          ("parallel run failed: " + result.diagnostic).c_str());
+    }
     benchmark::DoNotOptimize(result.mining.good_patterns.size());
   }
   FillCounters(state, result.wall_time, result.stats.tuple_ops,
@@ -182,7 +188,10 @@ void RunScalingDistributedApriori(benchmark::State& state, bool batching,
   core::ParallelResult result;
   for (auto _ : state) {
     result = core::MineParallel(problem, options);
-    if (!result.ok) state.SkipWithError("distributed run failed");
+    if (!result.ok) {
+      state.SkipWithError(
+          ("distributed run failed: " + result.diagnostic).c_str());
+    }
     benchmark::DoNotOptimize(result.mining.good_patterns.size());
   }
   FillCounters(state, result.wall_time, result.stats.tuple_ops,
@@ -263,7 +272,10 @@ void BM_ScatterGatherDistributed(benchmark::State& state) {
                &t);
       }
     });
-    if (!runtime.Run()) state.SkipWithError("scatter run failed");
+    if (!runtime.Run()) {
+      state.SkipWithError(
+          ("scatter run failed: " + runtime.diagnostic()).c_str());
+    }
     stats = runtime.stats();
     benchmark::DoNotOptimize(stats.tuple_ops);
   }
@@ -501,7 +513,10 @@ void BM_ScalingNyuMinerCV(benchmark::State& state) {
   classify::ParallelTreeResult result;
   for (auto _ : state) {
     result = classify::ParallelNyuMinerCV(data, data.AllRows(), options, exec);
-    if (!result.ok) state.SkipWithError("parallel run failed");
+    if (!result.ok) {
+      state.SkipWithError(
+          ("parallel run failed: " + result.diagnostic).c_str());
+    }
     benchmark::DoNotOptimize(result.tree.num_nodes());
   }
   FillCounters(state, result.wall_time, result.stats.tuple_ops,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
+#include <utility>
 
 namespace fpdm::classify {
 
@@ -189,6 +190,7 @@ ParallelTreeResult ParallelNyuMinerCV(const Dataset& data,
   }
 
   result.ok = runtime.Run();
+  result.diagnostic = runtime.diagnostic();
   result.completion_time = runtime.CompletionTime();
   result.wall_time = runtime.wall_time();
   result.stats = runtime.stats();
@@ -227,6 +229,7 @@ namespace {
 struct TrialRun {
   std::vector<DecisionTree> trees;
   bool ok = false;
+  std::string diagnostic;
   double completion_time = 0;
   double wall_time = 0;
   double total_work = 0;
@@ -297,6 +300,7 @@ TrialRun RunTrialsInParallel(int trials, uint64_t seed,
   }
 
   run.ok = runtime.Run();
+  run.diagnostic = runtime.diagnostic();
   run.completion_time = runtime.CompletionTime();
   run.wall_time = runtime.wall_time();
   run.stats = runtime.stats();
@@ -333,6 +337,7 @@ ParallelTreeResult ParallelC45(const Dataset& data,
 
   ParallelTreeResult result;
   result.ok = run.ok;
+  result.diagnostic = std::move(run.diagnostic);
   result.completion_time = run.completion_time;
   result.wall_time = run.wall_time;
   result.total_work = run.total_work;
@@ -363,6 +368,7 @@ ParallelRsResult ParallelNyuMinerRS(const Dataset& data,
 
   ParallelRsResult result;
   result.ok = run.ok;
+  result.diagnostic = std::move(run.diagnostic);
   result.completion_time = run.completion_time;
   result.wall_time = run.wall_time;
   result.total_work = run.total_work;

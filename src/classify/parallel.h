@@ -1,6 +1,8 @@
 #ifndef FPDM_CLASSIFY_PARALLEL_H_
 #define FPDM_CLASSIFY_PARALLEL_H_
 
+#include <string>
+
 #include "classify/c45.h"
 #include "classify/nyuminer.h"
 #include "plinda/chaos.h"
@@ -38,6 +40,8 @@ struct ParallelExecOptions {
 struct ParallelTreeResult {
   DecisionTree tree;
   bool ok = false;
+  /// Why the run failed (Runtime::diagnostic()); empty when ok.
+  std::string diagnostic;
   double completion_time = 0;
   /// Elapsed wall seconds of the run (both modes).
   double wall_time = 0;
@@ -67,6 +71,8 @@ ParallelTreeResult ParallelC45(const Dataset& data,
 struct ParallelRsResult {
   RsModel model;
   bool ok = false;
+  /// Why the run failed (Runtime::diagnostic()); empty when ok.
+  std::string diagnostic;
   double completion_time = 0;
   /// Elapsed wall seconds of the run (both modes).
   double wall_time = 0;

@@ -379,6 +379,7 @@ ParallelResult MineParallel(const MiningProblem& problem,
 
   ParallelResult result;
   result.ok = runtime.Run();
+  result.diagnostic = runtime.diagnostic();
   result.completion_time = runtime.CompletionTime();
   result.wall_time = runtime.wall_time();
   result.stats = runtime.stats();

@@ -1,6 +1,7 @@
 #ifndef FPDM_CORE_PARALLEL_H_
 #define FPDM_CORE_PARALLEL_H_
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,9 @@ struct ParallelResult {
   plinda::RuntimeStats stats;
   int num_workers = 0;
   bool ok = false;  // false on simulated deadlock (protocol bug)
+  /// Why the run failed (Runtime::diagnostic()): blocked processes and
+  /// their templates, protocol errors. Empty when ok.
+  std::string diagnostic;
 };
 
 /// Runs the parallel data mining virtual machine for `problem` on a

@@ -1495,13 +1495,24 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
     SendReply(conn, reply);
     return;
   }
-  // Exactly-once: a retried mutating request (same pid, same seq) gets the
-  // cached reply of its first execution instead of a second application.
-  // The scan covers the whole dedup window because a pipelined client
-  // resends every unreplied frame after a reconnect, not just the newest.
-  if (conn.pid >= 0 && request.seq != 0) {
+  if (conn.pid >= 0) {
     auto it = clients_.find(conn.pid);
-    if (it != clients_.end()) {
+    // A frame of a superseded incarnation — still buffered on a killed
+    // worker's connection when its respawn's HELLO reset the client state —
+    // must not apply: it would act for a dead process and advance the new
+    // incarnation's dedup window, so the respawn's first requests would be
+    // refused as stale.
+    if (it != clients_.end() && conn.incarnation < it->second.incarnation) {
+      SendError(conn, "stale incarnation");
+      conn.close_after_flush = true;
+      return;
+    }
+    // Exactly-once: a retried mutating request (same pid, same seq) gets
+    // the cached reply of its first execution instead of a second
+    // application. The scan covers the whole dedup window because a
+    // pipelined client resends every unreplied frame after a reconnect, not
+    // just the newest.
+    if (it != clients_.end() && request.seq != 0) {
       for (const auto& [seq, cached] : it->second.replies) {
         if (seq == request.seq) {
           SendEncoded(conn, cached);

@@ -1,12 +1,44 @@
 #include "plinda/runtime.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 // Complete type for the dclient_ unique_ptr destroyed in ~Runtime.
 #include "plinda/net/client.h"
+
+// Sanitizers must be told about every stack switch, or they mistake the
+// fiber stacks for overflows of the thread's own stack (ASan) or lose track
+// of which logical thread runs (TSan).
+#if defined(__SANITIZE_ADDRESS__)
+#define FPDM_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FPDM_ASAN_FIBERS 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define FPDM_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FPDM_TSAN_FIBERS 1
+#endif
+#endif
+#ifdef FPDM_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef FPDM_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace fpdm::plinda {
 
@@ -34,7 +66,62 @@ Template ExactTemplate(const Tuple& tuple) {
   return tmpl;
 }
 
+/// Usable stack of a process fiber: what a default pthread gets, so a
+/// process body has the same stack in kSimulated as on its kRealParallel
+/// thread. The mapping is MAP_NORESERVE: only touched pages cost memory.
+constexpr size_t kFiberStackBytes = size_t{8} << 20;
+
 }  // namespace
+
+/// A process fiber owns an mmap'd stack (a PROT_NONE guard page below
+/// kFiberStackBytes of usable stack); the scheduler's fiber has none and
+/// saves the context of the thread running Run().
+struct Runtime::Fiber {
+  ~Fiber() {
+#ifdef FPDM_TSAN_FIBERS
+    if (tsan_fiber != nullptr && stack != nullptr) {
+      __tsan_destroy_fiber(tsan_fiber);
+    }
+#endif
+    if (stack != nullptr) munmap(stack, stack_bytes);
+  }
+
+  /// Switches this thread from this fiber to `to`; returns when a later
+  /// switch resumes this one. `exiting`: this fiber has finished and is
+  /// never resumed. Process fibers only ever switch to and from the
+  /// scheduler, so whoever resumes this fiber is `to` — which is how the
+  /// scheduler's stack bounds (the calling thread's) reach ASan.
+  void SwitchTo(Fiber* to, bool exiting) {
+#ifdef FPDM_ASAN_FIBERS
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(exiting ? nullptr : &fake_stack,
+                                   to->stack_bottom, to->stack_size);
+#endif
+#ifdef FPDM_TSAN_FIBERS
+    __tsan_switch_to_fiber(to->tsan_fiber, 0);
+#endif
+    (void)exiting;
+    swapcontext(&context, &to->context);
+#ifdef FPDM_ASAN_FIBERS
+    __sanitizer_finish_switch_fiber(fake_stack, &to->stack_bottom,
+                                    &to->stack_size);
+#endif
+  }
+
+  ucontext_t context;
+  char* stack = nullptr;               // start of the mapping (guard page)
+  size_t stack_bytes = 0;              // whole mapping
+  const void* stack_bottom = nullptr;  // lowest usable byte
+  size_t stack_size = 0;               // usable bytes
+  Runtime* runtime = nullptr;
+  Proc* proc = nullptr;
+  bool live = false;  // started and not yet returned from RunProcess
+#ifdef FPDM_TSAN_FIBERS
+  void* tsan_fiber = nullptr;
+#endif
+};
+
+Runtime::Proc::~Proc() = default;
 
 std::string ToString(const TraceEvent& event) {
   const char* kind = "?";
@@ -149,14 +236,16 @@ void Runtime::RecordLocked(TraceEvent::Kind kind, double time,
 }
 
 Runtime::Runtime(int num_machines, RuntimeOptions options)
-    : options_(options), machines_(static_cast<size_t>(num_machines)) {
+    : options_(options),
+      machines_(static_cast<size_t>(num_machines)),
+      scheduler_fiber_(std::make_unique<Fiber>()) {
   assert(num_machines > 0);
 }
 
 Runtime::~Runtime() {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    shutdown_ = true;
+    FinishFibersLocked(lock);  // sets shutdown_
     for (auto& proc : procs_) proc->cv.notify_all();
   }
   for (auto& thread : threads_) {
@@ -259,12 +348,67 @@ int Runtime::SpawnLocked(const std::string& name, int machine, ProcessFn fn,
   RecordLocked(TraceEvent::Kind::kSpawned, start_clock, raw, raw->machine);
   // Distributed mode forks an OS process per Proc inside RunDistributed();
   // the parent must stay single-threaded so fork() is safe.
-  if (!dist_mode()) StartThreadLocked(raw);
+  if (!dist_mode()) StartProcessLocked(raw);
   return raw->id;
 }
 
-void Runtime::StartThreadLocked(Proc* proc) {
-  threads_.emplace_back(&Runtime::RunProcess, this, proc, proc->incarnation);
+void Runtime::StartProcessLocked(Proc* proc) {
+  if (real_mode()) {
+    threads_.emplace_back(&Runtime::RunProcessReal, this, proc);
+    return;
+  }
+  if (proc->fiber == nullptr) {
+    auto fiber = std::make_unique<Fiber>();
+    const size_t guard = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    fiber->stack_bytes = guard + kFiberStackBytes;
+    void* map = mmap(nullptr, fiber->stack_bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    if (map == MAP_FAILED || mprotect(map, guard, PROT_NONE) != 0) {
+      std::perror("plinda: cannot map a process fiber stack");
+      std::abort();
+    }
+    fiber->stack = static_cast<char*>(map);
+    fiber->stack_bottom = fiber->stack + guard;
+    fiber->stack_size = kFiberStackBytes;
+    fiber->runtime = this;
+    fiber->proc = proc;
+    proc->fiber = std::move(fiber);
+  }
+  Fiber* fiber = proc->fiber.get();
+  assert(!fiber->live && "a respawn reuses the stack of a finished fiber");
+#ifdef FPDM_ASAN_FIBERS
+  // The previous incarnation left its frames' redzones poisoned.
+  ASAN_UNPOISON_MEMORY_REGION(fiber->stack_bottom, fiber->stack_size);
+#endif
+#ifdef FPDM_TSAN_FIBERS
+  if (fiber->tsan_fiber != nullptr) __tsan_destroy_fiber(fiber->tsan_fiber);
+  fiber->tsan_fiber = __tsan_create_fiber(0);
+#endif
+  getcontext(&fiber->context);
+  fiber->context.uc_stack.ss_sp = const_cast<void*>(fiber->stack_bottom);
+  fiber->context.uc_stack.ss_size = fiber->stack_size;
+  fiber->context.uc_link = nullptr;
+  const auto bits = reinterpret_cast<uintptr_t>(fiber);
+  makecontext(&fiber->context, reinterpret_cast<void (*)()>(&FiberMain), 2,
+              static_cast<int>(static_cast<uint32_t>(bits >> 32)),
+              static_cast<int>(static_cast<uint32_t>(bits)));
+  fiber->live = true;
+}
+
+void Runtime::FiberMain(int fiber_hi, int fiber_lo) {
+  auto* fiber = reinterpret_cast<Fiber*>(
+      (uintptr_t{static_cast<uint32_t>(fiber_hi)} << 32) |
+      uintptr_t{static_cast<uint32_t>(fiber_lo)});
+  Runtime* runtime = fiber->runtime;
+  Fiber* scheduler = runtime->scheduler_fiber_.get();
+#ifdef FPDM_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(nullptr, &scheduler->stack_bottom,
+                                  &scheduler->stack_size);
+#endif
+  runtime->RunProcess(fiber->proc);
+  fiber->SwitchTo(scheduler, /*exiting=*/true);
+  std::abort();  // a finished fiber is never resumed
 }
 
 bool Runtime::Run() {
@@ -323,12 +467,8 @@ bool Runtime::Run() {
     GrantLocked(next, lock);
   }
   if (deadlocked_ || !errors_.empty()) BuildDiagnosticLocked();
-  shutdown_ = true;
-  for (auto& proc : procs_) proc->cv.notify_all();
+  FinishFibersLocked(lock);
   lock.unlock();
-  for (auto& thread : threads_) {
-    if (thread.joinable()) thread.join();
-  }
   wall_time_ = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              run_start)
                    .count();
@@ -384,10 +524,22 @@ void Runtime::BuildDiagnosticLocked() {
 }
 
 void Runtime::GrantLocked(Proc* proc, std::unique_lock<std::mutex>& lock) {
-  active_pid_ = proc->id;
-  proc->granted = true;
-  proc->cv.notify_all();
-  sched_cv_.wait(lock, [&] { return active_pid_ == -1; });
+#ifdef FPDM_TSAN_FIBERS
+  scheduler_fiber_->tsan_fiber = __tsan_get_current_fiber();
+#endif
+  // mu_ is not recursive and every fiber runs on this thread: the process
+  // takes it itself while it runs.
+  lock.unlock();
+  scheduler_fiber_->SwitchTo(proc->fiber.get(), /*exiting=*/false);
+  lock.lock();
+}
+
+void Runtime::FinishFibersLocked(std::unique_lock<std::mutex>& lock) {
+  shutdown_ = true;
+  for (size_t i = 0; i < procs_.size(); ++i) {
+    Proc* proc = procs_[i].get();
+    if (proc->fiber != nullptr && proc->fiber->live) GrantLocked(proc, lock);
+  }
 }
 
 void Runtime::ApplyEventLocked(const Event& event,
@@ -542,7 +694,7 @@ void Runtime::KillProcLocked(Proc* proc, double time,
   proc->kill_requested = true;
   proc->clock = time;
   RecordLocked(TraceEvent::Kind::kKilled, time, proc, proc->machine);
-  // Wake the process thread so it can unwind; RunProcess marks it dead and
+  // Resume the process fiber so it can unwind; RunProcess marks it dead and
   // rolls back its open transaction.
   GrantLocked(proc, lock);
   assert(proc->state == ProcState::kDead);
@@ -557,12 +709,11 @@ void Runtime::RespawnLocked(Proc* proc, double time) {
   proc->machine = machine;
   proc->clock = time + options_.spawn_delay;
   proc->state = ProcState::kReady;
-  proc->granted = false;
   proc->kill_requested = false;
   ++proc->incarnation;
   ++stats_.processes_respawned;
   RecordLocked(TraceEvent::Kind::kRespawned, proc->clock, proc, machine);
-  StartThreadLocked(proc);
+  StartProcessLocked(proc);
 }
 
 void Runtime::WakeBlockedLocked(double time) {
@@ -598,18 +749,12 @@ void Runtime::AbortTxnLocked(Proc* proc, double time) {
   if (restored && server_up_) WakeBlockedLocked(time);
 }
 
-void Runtime::RunProcess(Proc* proc, int incarnation) {
-  if (real_mode()) {
-    RunProcessReal(proc);
-    (void)incarnation;
-    return;
-  }
+void Runtime::RunProcess(Proc* proc) {
   bool killed = false;
   bool errored = false;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    proc->cv.wait(lock, [&] { return proc->granted || shutdown_; });
-    if (proc->kill_requested || shutdown_) killed = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    killed = proc->kill_requested || shutdown_;
   }
   if (!killed) {
     ProcessContext ctx(this, proc);
@@ -634,17 +779,13 @@ void Runtime::RunProcess(Proc* proc, int incarnation) {
     completion_time_ = std::max(completion_time_, proc->clock);
     RecordLocked(TraceEvent::Kind::kDone, proc->clock, proc, proc->machine);
   }
-  proc->granted = false;
-  if (active_pid_ == proc->id) active_pid_ = -1;
-  sched_cv_.notify_all();
-  (void)incarnation;
+  proc->fiber->live = false;
 }
 
 void Runtime::Yield(Proc* proc, std::unique_lock<std::mutex>& lock) {
-  proc->granted = false;
-  active_pid_ = -1;
-  sched_cv_.notify_all();
-  proc->cv.wait(lock, [&] { return proc->granted || shutdown_; });
+  lock.unlock();
+  proc->fiber->SwitchTo(scheduler_fiber_.get(), /*exiting=*/false);
+  lock.lock();
   if (proc->kill_requested || shutdown_) throw ProcessKilledException{};
 }
 

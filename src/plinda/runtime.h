@@ -35,10 +35,11 @@ using ProcessFn = std::function<void(ProcessContext&)>;
 
 /// How the runtime executes the PLinda processes.
 enum class ExecutionMode {
-  /// Deterministic virtual-time simulation: every process gets its own OS
-  /// thread but a conservative scheduler admits exactly one at a time.
-  /// Supports the full fault model (machine and tuple-space-server
-  /// failures); bit-for-bit reproducible, including virtual times.
+  /// Deterministic virtual-time simulation: every process is a stackful
+  /// fiber on the thread that calls Run(), and a conservative scheduler
+  /// switches to exactly one at a time. Supports the full fault model
+  /// (machine and tuple-space-server failures); bit-for-bit reproducible,
+  /// including virtual times.
   kSimulated,
   /// Real parallel execution: all runnable processes run concurrently on
   /// their OS threads against a sharded, thread-safe tuple space
@@ -321,10 +322,11 @@ struct RuntimeStats {
 
 /// A PLinda network of workstations, in one of two execution modes.
 ///
-/// **Simulated (default).** Each simulated process runs on its own OS
-/// thread, but a conservative scheduler admits exactly one process at a
-/// time — always the one with the smallest virtual clock — so execution is
-/// sequential, single-core friendly, and bit-for-bit reproducible. Virtual
+/// **Simulated (default).** Each simulated process is a fiber (its own
+/// stack, no OS thread of its own) on the thread that calls Run(). A
+/// conservative scheduler switches to exactly one process at a time —
+/// always the one with the smallest virtual clock — so execution is
+/// sequential, single-core, and bit-for-bit reproducible. Virtual
 /// time advances through ProcessContext::Compute() (task work, divided by
 /// the host machine's speed factor) and through tuple-space operations
 /// (fixed latency).
@@ -462,17 +464,26 @@ class Runtime {
   /// Why a kBlocked process is blocked, for the deadlock diagnostic.
   enum class BlockReason { kNone, kTemplate, kServer };
 
+  /// kSimulated: the saved execution context of a process (or of the
+  /// scheduler) on the thread running Run(). Defined in runtime.cc.
+  struct Fiber;
+
   struct Proc {
+    ~Proc();  // out of line: Fiber is incomplete here
+
     int id = 0;
     std::string name;
     ProcessFn fn;
     int machine = 0;
     double clock = 0;
     ProcState state = ProcState::kReady;
-    bool granted = false;
     bool kill_requested = false;
     bool errored = false;  // terminated by a protocol error, not a failure
     int incarnation = 0;
+    // kSimulated: the process's fiber. Created at first start; its stack is
+    // reused by every respawned incarnation.
+    std::unique_ptr<Fiber> fiber;
+    // kRealParallel: the start gate the process thread waits on.
     std::condition_variable cv;
 
     BlockReason block_reason = BlockReason::kNone;
@@ -540,8 +551,16 @@ class Runtime {
   int PickMachineLocked() const;
   int SpawnLocked(const std::string& name, int machine, ProcessFn fn,
                   double start_clock);
-  void StartThreadLocked(Proc* proc);
+  /// Starts a (re)spawned process: a fiber in kSimulated mode, an OS thread
+  /// in kRealParallel mode.
+  void StartProcessLocked(Proc* proc);
+  /// Switches to the process's fiber, with mu_ released, until it yields
+  /// or finishes.
   void GrantLocked(Proc* proc, std::unique_lock<std::mutex>& lock);
+  /// Sets shutdown_ and grants every started, unfinished fiber in pid order,
+  /// so each unwinds through ProcessKilledException (a never-run one skips
+  /// its body) exactly as a killed process does.
+  void FinishFibersLocked(std::unique_lock<std::mutex>& lock);
   void ApplyEventLocked(const Event& event, std::unique_lock<std::mutex>& lock);
   void KillProcLocked(Proc* proc, double time, std::unique_lock<std::mutex>& lock);
   void RespawnLocked(Proc* proc, double time);
@@ -565,8 +584,13 @@ class Runtime {
   [[noreturn]] void FailProcLocked(Proc* proc, RuntimeError::Code code,
                                    std::string detail);
 
-  // --- process-side entry points (called on process threads) ---
-  void RunProcess(Proc* proc, int incarnation);
+  // --- process-side entry points (called on process fibers / threads) ---
+  /// Entry point of a process fiber (makecontext passes the Fiber pointer
+  /// as two 32-bit halves).
+  static void FiberMain(int fiber_hi, int fiber_lo);
+  void RunProcess(Proc* proc);
+  /// Switches back to the scheduler with mu_ released; throws
+  /// ProcessKilledException when resumed to die.
   void Yield(Proc* proc, std::unique_lock<std::mutex>& lock);
   void OpOut(Proc* proc, Tuple tuple);
   bool OpIn(Proc* proc, const Template& tmpl, Tuple* result, bool blocking,
@@ -657,8 +681,10 @@ class Runtime {
   std::vector<TraceEvent> trace_;
 
   std::mutex mu_;
+  // kSimulated: the context GrantLocked switches from and Yield returns to.
+  std::unique_ptr<Fiber> scheduler_fiber_;
+  // kRealParallel: process threads wake the watchdog through this.
   std::condition_variable sched_cv_;
-  int active_pid_ = -1;  // process currently granted; -1 = scheduler
   bool shutdown_ = false;
   bool auto_respawn_ = true;
   bool deadlocked_ = false;
@@ -683,7 +709,7 @@ class Runtime {
   std::string dist_socket_;
   std::vector<RuntimeError> dist_child_errors_;  // set inside the child only
 
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  // kRealParallel process threads
 };
 
 /// The handle a process body uses to talk to the tuple space, manage

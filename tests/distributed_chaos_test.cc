@@ -568,7 +568,7 @@ TEST(DistributedChaosTest, MinerSurvivesWorkerKillWithIdenticalResults) {
   reference.execution_mode = ExecutionMode::kSimulated;
   reference.num_workers = 4;
   const core::ParallelResult sim = core::MineParallel(problem, reference);
-  ASSERT_TRUE(sim.ok);
+  ASSERT_TRUE(sim.ok) << sim.diagnostic;
 
   core::ParallelOptions faulty = reference;
   faulty.execution_mode = ExecutionMode::kDistributed;
@@ -579,7 +579,7 @@ TEST(DistributedChaosTest, MinerSurvivesWorkerKillWithIdenticalResults) {
   // result may never be.
   faulty.failures = {{1, 0.01}};
   const core::ParallelResult dist = core::MineParallel(problem, faulty);
-  ASSERT_TRUE(dist.ok);
+  ASSERT_TRUE(dist.ok) << dist.diagnostic;
 
   EXPECT_EQ(sim.mining.patterns_tested, dist.mining.patterns_tested);
   EXPECT_EQ(sim.mining.total_task_cost, dist.mining.total_task_cost);

@@ -524,6 +524,44 @@ TEST_F(NetIntegrationTest, HigherIncarnationAbortsThePredecessorsTxn) {
   old_client.Abandon();
 }
 
+TEST_F(NetIntegrationTest, LateFrameOfSupersededIncarnationIsRefused) {
+  // A SIGKILLed worker's last frame can still sit unread on its connection
+  // when its respawn says HELLO. Applied then, it would act for the dead
+  // process and advance the new incarnation's dedup window, so the
+  // respawn's own first requests would be refused as stale.
+  RawClient dead(sopts_.endpoint);
+  ASSERT_TRUE(dead.ok());
+  Reply reply;
+  Request hello;
+  hello.op = Op::kHello;
+  hello.pid = 8;
+  ASSERT_TRUE(dead.Send(hello));
+  ASSERT_TRUE(dead.Receive(&reply));
+
+  RemoteTupleSpace respawned(ClientOptions(8, 1));
+  ASSERT_TRUE(respawned.Connect());
+
+  Request late;
+  late.op = Op::kOut;
+  late.seq = 5;
+  late.tuple = MakeTuple("ghost", 1);
+  ASSERT_TRUE(dead.Send(late));
+  ASSERT_TRUE(dead.Receive(&reply));
+  EXPECT_EQ(reply.status, WireStatus::kError);
+  EXPECT_EQ(reply.error, "stale incarnation");
+
+  ASSERT_EQ(respawned.Out(MakeTuple("live", 2)), CallStatus::kOk);
+  const Template ghost = MakeTemplate(A("ghost"), F(ValueType::kInt));
+  const Template live = MakeTemplate(A("live"), F(ValueType::kInt));
+  uint64_t ghosts = 0;
+  uint64_t lives = 0;
+  ASSERT_EQ(respawned.Count(ghost, &ghosts), CallStatus::kOk);
+  ASSERT_EQ(respawned.Count(live, &lives), CallStatus::kOk);
+  EXPECT_EQ(ghosts, 0u);
+  EXPECT_EQ(lives, 1u);
+  respawned.Bye();
+}
+
 TEST_F(NetIntegrationTest, CrashAbortOnConnectionDropWithoutBye) {
   // A worker that vanishes without BYE (SIGKILL) must have its open
   // transaction rolled back by the server on EOF.

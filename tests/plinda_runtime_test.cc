@@ -1,5 +1,9 @@
 #include "plinda/runtime.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -466,6 +470,148 @@ TEST(RuntimeTraceTest, CanBeDisabled) {
   rt.Spawn("p", [](ProcessContext& ctx) { ctx.Compute(1.0); });
   ASSERT_TRUE(rt.Run());
   EXPECT_TRUE(rt.trace().empty());
+}
+
+// --- Process lifecycle on simulator fibers --------------------------------
+
+// Counts destructor runs: a sentinel on a process's stack proves that the
+// stack was unwound rather than abandoned.
+struct UnwindSentinel {
+  explicit UnwindSentinel(int* count) : count(count) {}
+  ~UnwindSentinel() { ++*count; }
+  int* count;
+};
+
+TEST(RuntimeFiberTest, DeadlockUnwindsEveryProcessAndRestoresOpenIns) {
+  Runtime rt(3);
+  rt.space().Out(MakeTuple("task", 1));
+  rt.space().Out(MakeTuple("task", 2));
+  int unwound = 0;
+  for (int p = 0; p < 2; ++p) {
+    rt.Spawn("txn-" + std::to_string(p), [&](ProcessContext& ctx) {
+      UnwindSentinel sentinel(&unwound);
+      ctx.XStart();
+      Tuple task;
+      ctx.In(MakeTemplate(A("task"), F(ValueType::kInt)), &task);
+      Tuple never;
+      ctx.In(MakeTemplate(A("never")), &never);  // blocked inside the txn
+      ctx.XCommit();
+    });
+  }
+  rt.Spawn("plain", [&](ProcessContext& ctx) {
+    UnwindSentinel sentinel(&unwound);
+    Tuple never;
+    ctx.In(MakeTemplate(A("never")), &never);  // blocked outside any txn
+  });
+  EXPECT_FALSE(rt.Run());
+  EXPECT_TRUE(rt.deadlocked());
+  // Run() returns only after every process stack has unwound.
+  EXPECT_EQ(unwound, 3);
+  EXPECT_EQ(rt.stats().processes_killed, 3u);
+  EXPECT_EQ(rt.stats().transactions_aborted, 2u);
+  // Both open transactions' ins went back to the space.
+  std::vector<int64_t> tasks;
+  Tuple t;
+  while (rt.space().TryIn(MakeTemplate(A("task"), F(ValueType::kInt)), &t)) {
+    tasks.push_back(GetInt(t, 1));
+  }
+  std::sort(tasks.begin(), tasks.end());
+  EXPECT_EQ(tasks, (std::vector<int64_t>{1, 2}));
+  EXPECT_TRUE(rt.space().empty());
+}
+
+TEST(RuntimeFiberTest, DestroyedWithoutRunNeverRunsBodies) {
+  bool ran = false;
+  auto captured = std::make_shared<int>(7);
+  {
+    Runtime rt(2);
+    for (int p = 0; p < 3; ++p) {
+      rt.Spawn("p", [&ran, captured](ProcessContext& ctx) {
+        ran = true;
+        ctx.Compute(1.0);
+      });
+    }
+    EXPECT_EQ(captured.use_count(), 4);
+  }
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(captured.use_count(), 1);  // every process body was released
+}
+
+// Recurses `depth` frames of 4 KiB each, yielding to the scheduler at the
+// bottom; returns the stack span it covered in bytes.
+uintptr_t RecurseDeep(ProcessContext& ctx, int depth, uintptr_t top) {
+  volatile char frame[4096];
+  frame[0] = static_cast<char>(depth);
+  frame[sizeof(frame) - 1] = frame[0];
+  const auto here = reinterpret_cast<uintptr_t>(&frame[0]);
+  if (depth == 0) {
+    ctx.Compute(1.0);  // switch away and back while 2+ MiB deep
+    return top - here;
+  }
+  const uintptr_t span = RecurseDeep(ctx, depth - 1, top);
+  return span + (frame[sizeof(frame) - 1] == frame[0] ? 0 : 1);
+}
+
+TEST(RuntimeFiberTest, ProcessStackHoldsTwoMebibytesOfRecursion) {
+  Runtime rt(2);
+  uintptr_t span = 0;
+  rt.Spawn("deep", [&](ProcessContext& ctx) {
+    char top = 0;
+    span = RecurseDeep(ctx, 600, reinterpret_cast<uintptr_t>(&top));
+  });
+  rt.Spawn("other", [](ProcessContext& ctx) { ctx.Compute(0.5); });
+  ASSERT_TRUE(rt.Run()) << rt.diagnostic();
+  EXPECT_GE(span, uintptr_t{2} << 20);
+}
+
+TEST(RuntimeFiberTest, RespawnAfterMidTransactionKillReusesStack) {
+  // One worker drains five tasks, one transaction each. A failure of its
+  // machine lands inside the third task's transaction: the task rolls back
+  // and the respawned incarnation, on the same fiber stack, finishes the
+  // bag with the failure-free run's results.
+  auto run = [](bool fail, std::vector<uintptr_t>* frames) {
+    Runtime rt(2);
+    if (fail) rt.ScheduleFailure(1, 25.0);
+    for (int i = 0; i < 5; ++i) rt.space().Out(MakeTuple("task", i));
+    rt.SpawnOn("worker", 1, [frames](ProcessContext& ctx) {
+      const void* frame = __builtin_frame_address(0);
+      frames->push_back(reinterpret_cast<uintptr_t>(frame));
+      for (;;) {
+        ctx.XStart();
+        Tuple task;
+        if (!ctx.Inp(MakeTemplate(A("task"), F(ValueType::kInt)), &task)) {
+          ctx.XCommit();
+          return;
+        }
+        ctx.Compute(10.0);
+        ctx.Out(MakeTuple("result", GetInt(task, 1) * GetInt(task, 1)));
+        ctx.XCommit();
+      }
+    });
+    EXPECT_TRUE(rt.Run()) << rt.diagnostic();
+    const Template result = MakeTemplate(A("result"), F(ValueType::kInt));
+    std::vector<int64_t> results;
+    Tuple t;
+    while (rt.space().TryIn(result, &t)) results.push_back(GetInt(t, 1));
+    std::sort(results.begin(), results.end());
+    EXPECT_TRUE(rt.space().empty());
+    return std::make_pair(results, rt.stats());
+  };
+  std::vector<uintptr_t> clean_frames, faulty_frames;
+  const auto [clean, clean_stats] = run(false, &clean_frames);
+  const auto [faulty, faulty_stats] = run(true, &faulty_frames);
+  EXPECT_EQ(clean, (std::vector<int64_t>{0, 1, 4, 9, 16}));
+  EXPECT_EQ(faulty, clean);
+  EXPECT_EQ(clean_stats.processes_killed, 0u);
+  EXPECT_EQ(faulty_stats.processes_killed, 1u);
+  EXPECT_EQ(faulty_stats.processes_respawned, 1u);
+  EXPECT_EQ(faulty_stats.transactions_aborted, 1u);
+  EXPECT_EQ(faulty_stats.transactions_committed,
+            clean_stats.transactions_committed);
+  // Both incarnations ran their body from the same frame: the respawn
+  // reused the first incarnation's stack.
+  ASSERT_EQ(faulty_frames.size(), 2u);
+  EXPECT_EQ(faulty_frames[0], faulty_frames[1]);
 }
 
 }  // namespace
