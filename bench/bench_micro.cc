@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the performance-critical
-// primitives: tuple-space matching, the wire protocol (unbatched vs
-// batched round trips against a live server process), GST construction,
-// the motif-matching DP, the optimal sub-K-ary split DP, one Apriori pass,
-// and tree edit distance with cuts.
+// primitives: tuple-space matching, the tuple codec and checkpoints, the
+// wire protocol (unbatched vs batched round trips against a live server
+// process), GST construction, the motif-matching DP, the optimal sub-K-ary
+// split DP, one Apriori pass, and tree edit distance with cuts.
 
 #include <benchmark/benchmark.h>
 
@@ -45,6 +45,53 @@ void BM_TupleSpaceOutIn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2000);
 }
 BENCHMARK(BM_TupleSpaceOutIn);
+
+// Encode + decode of the two tuple shapes that make up most motif-dist
+// frames and WAL records: ("cost", key, cost) and ("task", key, length,
+// mode). Items are tuples, each encoded once and decoded once.
+void BM_TupleCodec(benchmark::State& state) {
+  using namespace plinda;
+  const Tuple cost = MakeTuple("cost", "RKDLEGA", 0.7310585786300049);
+  const Tuple task = MakeTuple("task", "RKDLEGA", int64_t{7}, int64_t{1});
+  std::string buf;
+  Tuple back;
+  for (auto _ : state) {
+    buf.clear();
+    SerializeTuple(cost, &buf);
+    SerializeTuple(task, &buf);
+    size_t pos = 0;
+    bool ok = DeserializeTuple(buf, &pos, &back);
+    ok = DeserializeTuple(buf, &pos, &back) && ok;
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_TupleCodec);
+
+// One TupleSpace::Checkpoint() of N motif-dist-shaped tuples, half "cost"
+// and half "task" (1300 is about motif-dist's tasks per job, each of which
+// leaves a "cost" tuple in the space).
+void BM_TupleSpaceCheckpoint(benchmark::State& state) {
+  using namespace plinda;
+  TupleSpace space;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    const std::string key = "RKDLEGA" + std::to_string(i);
+    if (i % 2 == 0) {
+      space.Out(MakeTuple("cost", key, 1.0 / static_cast<double>(i + 3)));
+    } else {
+      space.Out(MakeTuple("task", key, int64_t{8}, int64_t{1}));
+    }
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string checkpoint = space.Checkpoint();
+    bytes = checkpoint.size();
+    benchmark::DoNotOptimize(checkpoint.data());
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TupleSpaceCheckpoint)->Arg(1300);
 
 void BM_TupleSpaceMatchMiss(benchmark::State& state) {
   using namespace plinda;

@@ -25,10 +25,10 @@ namespace fpdm::plinda::net {
 
 namespace {
 
-// v4: 2PC state — typed peer messages, coordinator/participant transaction
-// tables, decision outcomes, txn counters (v3 added continuation stamps +
-// per-peer forward queues for multi-server placement).
-constexpr char kSnapshotMagic[] = "fpdmsrv4:";
+// v5: binary tuple codec and Checksum64 (v4 added 2PC state — typed peer
+// messages, coordinator/participant transaction tables, decision outcomes,
+// txn counters; v3 continuation stamps + per-peer forward queues).
+constexpr std::string_view kSnapshotMagic = "fpdmsrv5:";
 
 /// An all-actuals template matching exactly one tuple value. Replaying an
 /// IN log entry removes the oldest tuple equal to the logged one, which is
@@ -135,19 +135,6 @@ bool WritevAll(int fd, std::vector<iovec>* iov) {
     }
   }
   return true;
-}
-
-/// Patches the [u32 len][u64 fnv1a] WAL record header into the first 12
-/// bytes of `frame`, whose payload was encoded in place after them.
-void PatchWalHeader(std::string* frame) {
-  const std::string_view payload = std::string_view(*frame).substr(12);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint64_t hash = Fnv1a64(payload);
-  auto* p = reinterpret_cast<unsigned char*>(frame->data());
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(len >> (8 * i));
-  for (int i = 0; i < 8; ++i) {
-    p[4 + i] = static_cast<unsigned char>(hash >> (8 * i));
-  }
 }
 
 void ApplySndbuf(int fd, int sndbuf_bytes) {
@@ -367,111 +354,119 @@ bool SpaceServer::ComputeScope(const Request& request, bool decode_ok,
 // --- log + checkpoint -----------------------------------------------------
 
 std::string SpaceServer::EncodeSnapshot() const {
-  std::string payload;
-  PutU64(epoch_, &payload);
-  PutU32(static_cast<uint32_t>(stripes_.size()), &payload);
+  // Layout: magic, [u32 payload len][u64 Checksum64 of the payload], then
+  // the payload. The header is reserved and patched at the end, and every
+  // stripe checkpoint is encoded in place behind its own patched length, so
+  // each snapshot byte is written once.
+  std::string out(kSnapshotMagic);
+  const size_t header_pos = out.size();
+  out.append(12, '\0');
+  PutU64(epoch_, &out);
+  PutU32(static_cast<uint32_t>(stripes_.size()), &out);
   for (const auto& stripe : stripes_) {
-    PutString(stripe->space.Checkpoint(), &payload);
+    const size_t len_pos = out.size();
+    PutU32(0, &out);
+    stripe->space.CheckpointInto(&out);
+    PatchU32(static_cast<uint32_t>(out.size() - len_pos - 4), len_pos, &out);
   }
-  PutU32(static_cast<uint32_t>(continuations_.size()), &payload);
+  PutU32(static_cast<uint32_t>(continuations_.size()), &out);
   for (const auto& [pid, cont] : continuations_) {
-    PutI32(pid, &payload);
-    PutU64(cont.first, &payload);  // stamp: (incarnation<<32)|commit counter
-    PutTuple(cont.second, &payload);
+    PutI32(pid, &out);
+    PutU64(cont.first, &out);  // stamp: (incarnation<<32)|commit counter
+    PutTuple(cont.second, &out);
   }
-  PutU32(static_cast<uint32_t>(clients_.size()), &payload);
+  PutU32(static_cast<uint32_t>(clients_.size()), &out);
   for (const auto& [pid, c] : clients_) {
-    PutI32(pid, &payload);
-    PutI32(c.incarnation, &payload);
-    PutU64(c.last_seq, &payload);
-    PutU32(static_cast<uint32_t>(c.replies.size()), &payload);
+    PutI32(pid, &out);
+    PutI32(c.incarnation, &out);
+    PutU64(c.last_seq, &out);
+    PutU32(static_cast<uint32_t>(c.replies.size()), &out);
     for (const auto& [seq, reply] : c.replies) {
-      PutU64(seq, &payload);
-      PutString(reply, &payload);
+      PutU64(seq, &out);
+      PutString(reply, &out);
     }
-    PutU8(c.txn_open ? 1 : 0, &payload);
-    PutU32(static_cast<uint32_t>(c.txn_ins.size()), &payload);
-    for (const Tuple& t : c.txn_ins) PutTuple(t, &payload);
+    PutU8(c.txn_open ? 1 : 0, &out);
+    PutU32(static_cast<uint32_t>(c.txn_ins.size()), &out);
+    for (const Tuple& t : c.txn_ins) PutTuple(t, &out);
   }
-  PutU64(publish_epoch_, &payload);
-  PutU64(tuple_ops_, &payload);
-  PutU64(commits_, &payload);
-  PutU64(aborts_, &payload);
-  PutU64(checkpoints_, &payload);
-  PutU64(cross_shard_ops_, &payload);
-  PutU64(batch_frames_, &payload);
-  PutU64(batched_ops_, &payload);
+  PutU64(publish_epoch_, &out);
+  PutU64(tuple_ops_, &out);
+  PutU64(commits_, &out);
+  PutU64(aborts_, &out);
+  PutU64(checkpoints_, &out);
+  PutU64(cross_shard_ops_, &out);
+  PutU64(batch_frames_, &out);
+  PutU64(batched_ops_, &out);
   // Peer forward state: fseq counters, unacked queues, and watermarks.
   // Persisting these makes forwarding exactly-once across a crash: replay
   // of post-snapshot commits re-assigns identical fseqs, already-acked
   // forwards that resend are deduplicated by the peer's watermark.
-  PutU32(static_cast<uint32_t>(peers_.size()), &payload);
+  PutU32(static_cast<uint32_t>(peers_.size()), &out);
   for (const PeerLink& peer : peers_) {
-    PutU64(peer.next_fseq, &payload);
-    PutU64(peer.watermark, &payload);
-    PutU32(static_cast<uint32_t>(peer.unacked.size()), &payload);
+    PutU64(peer.next_fseq, &out);
+    PutU64(peer.watermark, &out);
+    PutU32(static_cast<uint32_t>(peer.unacked.size()), &out);
     for (const PeerMsg& msg : peer.unacked) {
-      PutU64(msg.fseq, &payload);
-      PutU8(static_cast<uint8_t>(msg.op), &payload);
-      PutU32(static_cast<uint32_t>(msg.outs.size()), &payload);
-      for (const Tuple& t : msg.outs) PutTuple(t, &payload);
-      PutI32(msg.txn_pid, &payload);
-      PutI32(msg.txn_incarnation, &payload);
-      PutU64(msg.txn_seq, &payload);
-      PutU8(msg.decision, &payload);
+      PutU64(msg.fseq, &out);
+      PutU8(static_cast<uint8_t>(msg.op), &out);
+      PutU32(static_cast<uint32_t>(msg.outs.size()), &out);
+      for (const Tuple& t : msg.outs) PutTuple(t, &out);
+      PutI32(msg.txn_pid, &out);
+      PutI32(msg.txn_incarnation, &out);
+      PutU64(msg.txn_seq, &out);
+      PutU8(msg.decision, &out);
     }
   }
   // 2PC state. The votes set must be durable: a vote whose PREPARE message
   // was acked (and so retired from the unacked queue) before this snapshot
   // is otherwise unrecoverable — the resent PREPARE after a restart only
   // re-collects votes for messages still queued.
-  PutU32(static_cast<uint32_t>(coord_pending_.size()), &payload);
+  PutU32(static_cast<uint32_t>(coord_pending_.size()), &out);
   for (const auto& [pid, txn] : coord_pending_) {
-    PutI32(pid, &payload);
-    PutI32(txn.incarnation, &payload);
-    PutU64(txn.seq, &payload);
-    PutU32(static_cast<uint32_t>(txn.outs.size()), &payload);
-    for (const Tuple& t : txn.outs) PutTuple(t, &payload);
-    PutU8(txn.has_continuation ? 1 : 0, &payload);
-    PutTuple(txn.continuation, &payload);
-    PutU64(txn.cont_stamp, &payload);
-    PutU32(static_cast<uint32_t>(txn.participants.size()), &payload);
-    for (uint32_t k : txn.participants) PutU32(k, &payload);
-    PutU32(static_cast<uint32_t>(txn.votes.size()), &payload);
-    for (uint32_t k : txn.votes) PutU32(k, &payload);
+    PutI32(pid, &out);
+    PutI32(txn.incarnation, &out);
+    PutU64(txn.seq, &out);
+    PutU32(static_cast<uint32_t>(txn.outs.size()), &out);
+    for (const Tuple& t : txn.outs) PutTuple(t, &out);
+    PutU8(txn.has_continuation ? 1 : 0, &out);
+    PutTuple(txn.continuation, &out);
+    PutU64(txn.cont_stamp, &out);
+    PutU32(static_cast<uint32_t>(txn.participants.size()), &out);
+    for (uint32_t k : txn.participants) PutU32(k, &out);
+    PutU32(static_cast<uint32_t>(txn.votes.size()), &out);
+    for (uint32_t k : txn.votes) PutU32(k, &out);
   }
-  PutU32(static_cast<uint32_t>(prepared_.size()), &payload);
+  PutU32(static_cast<uint32_t>(prepared_.size()), &out);
   for (const auto& [key, p] : prepared_) {
-    PutI32(std::get<0>(key), &payload);
-    PutI32(std::get<1>(key), &payload);
-    PutU64(std::get<2>(key), &payload);
-    PutU32(p.coordinator, &payload);
-    PutU32(static_cast<uint32_t>(p.ins.size()), &payload);
-    for (const Tuple& t : p.ins) PutTuple(t, &payload);
+    PutI32(std::get<0>(key), &out);
+    PutI32(std::get<1>(key), &out);
+    PutU64(std::get<2>(key), &out);
+    PutU32(p.coordinator, &out);
+    PutU32(static_cast<uint32_t>(p.ins.size()), &out);
+    for (const Tuple& t : p.ins) PutTuple(t, &out);
   }
-  PutU32(static_cast<uint32_t>(decisions_.size()), &payload);
+  PutU32(static_cast<uint32_t>(decisions_.size()), &out);
   for (const auto& [key, d] : decisions_) {
-    PutI32(std::get<0>(key), &payload);
-    PutI32(std::get<1>(key), &payload);
-    PutU64(std::get<2>(key), &payload);
-    PutU8(d.outcome, &payload);
-    PutU32(static_cast<uint32_t>(d.waiting.size()), &payload);
-    for (uint32_t k : d.waiting) PutU32(k, &payload);
+    PutI32(std::get<0>(key), &out);
+    PutI32(std::get<1>(key), &out);
+    PutU64(std::get<2>(key), &out);
+    PutU8(d.outcome, &out);
+    PutU32(static_cast<uint32_t>(d.waiting.size()), &out);
+    for (uint32_t k : d.waiting) PutU32(k, &out);
   }
-  PutU64(txn_prepares_, &payload);
-  PutU64(txn_cross_server_, &payload);
+  PutU64(txn_prepares_, &out);
+  PutU64(txn_cross_server_, &out);
 
-  std::string out = kSnapshotMagic;
-  PutU32(static_cast<uint32_t>(payload.size()), &out);
-  PutU64(Fnv1a64(payload), &out);
-  out += payload;
+  const std::string_view body = std::string_view(out).substr(header_pos + 12);
+  PatchU32(static_cast<uint32_t>(body.size()), header_pos, &out);
+  PatchU64(Checksum64(body), header_pos + 4, &out);
   return out;
 }
 
 bool SpaceServer::LoadSnapshot(const std::string& path) {
   std::string raw;
   if (!ReadFile(path, &raw)) return false;
-  const size_t magic_len = sizeof(kSnapshotMagic) - 1;
+  const size_t magic_len = kSnapshotMagic.size();
   if (raw.compare(0, magic_len, kSnapshotMagic) != 0) return false;
   ByteReader header{std::string_view(raw).substr(magic_len)};
   uint32_t payload_len = 0;
@@ -482,7 +477,7 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
   const std::string_view payload =
       std::string_view(raw).substr(magic_len + header.pos);
   if (payload.size() != payload_len) return false;
-  if (Fnv1a64(payload) != want_hash) return false;
+  if (Checksum64(payload) != want_hash) return false;
 
   ByteReader r{payload};
   uint32_t num_shards = 0;
@@ -492,8 +487,8 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
   stripes_.reserve(num_shards);
   for (uint32_t i = 0; i < num_shards; ++i) {
     stripes_.push_back(std::make_unique<Stripe>());
-    std::string ckpt;
-    if (!r.TakeString(&ckpt) || !stripes_[i]->space.Restore(ckpt)) {
+    std::string_view ckpt;
+    if (!r.TakeView(&ckpt) || !stripes_[i]->space.Restore(ckpt)) {
       return false;
     }
   }
@@ -744,12 +739,12 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
     stop_ = true;
     return false;
   }
-  // Log records carry a per-record checksum — [u32 len][u64 fnv1a][payload]
-  // — so recovery can tell a torn or bit-rotted tail from a clean prefix
-  // even when the mangled bytes still parse as a plausible length. The
-  // payload is encoded straight after 12 reserved header bytes (patched
-  // once the length is known) into a recycled buffer, so the hot path
-  // allocates nothing in steady state.
+  // Log records carry a per-record checksum — [u32 len][u64 Checksum64]
+  // [payload], see PatchWalHeader — so recovery can tell a torn or
+  // bit-rotted tail from a clean prefix even when the mangled bytes still
+  // parse as a plausible length. The payload is encoded straight after the
+  // reserved header bytes (patched once the length is known) into a
+  // recycled buffer, so the hot path allocates nothing in steady state.
   std::string frame;
   if (live_threaded_) {
     std::lock_guard<std::mutex> lk(log_mu_);
@@ -760,13 +755,13 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
   } else {
     frame = std::move(wal_frame_buf_);
   }
-  frame.assign(12, '\0');
+  frame.assign(kWalHeaderBytes, '\0');
   EncodeLogEntryInto(entry, &frame);
   // An oversized entry would be skipped (and truncated away) by ReplayLog,
   // silently un-doing an acknowledged op on recovery; requests are capped at
   // kMaxFramePayload and entries encode smaller, so this cannot fire for
   // request-derived entries — it guards the invariant, not a live path.
-  if (frame.size() - 12 > kMaxFramePayload) {
+  if (frame.size() - kWalHeaderBytes > kMaxFramePayload) {
     wal_failed_ = true;
     stop_ = true;
     return false;
@@ -817,30 +812,20 @@ bool SpaceServer::ReplayLog(const std::string& path) {
   std::string raw;
   if (!ReadFile(path, &raw)) return true;  // missing log = empty log
   size_t off = 0;
-  while (off + 12 <= raw.size()) {
-    const auto* p = reinterpret_cast<const unsigned char*>(raw.data() + off);
-    const uint32_t len = static_cast<uint32_t>(p[0]) |
-                         (static_cast<uint32_t>(p[1]) << 8) |
-                         (static_cast<uint32_t>(p[2]) << 16) |
-                         (static_cast<uint32_t>(p[3]) << 24);
-    uint64_t want_hash = 0;
-    for (int i = 0; i < 8; ++i) {
-      want_hash |= static_cast<uint64_t>(p[4 + i]) << (8 * i);
-    }
-    if (len > kMaxFramePayload || off + 12 + len > raw.size()) break;
-    const std::string_view payload =
-        std::string_view(raw).substr(off + 12, len);
-    // A checksum mismatch is a torn or corrupted tail. Only the FINAL
-    // record can legitimately be damaged (apply/ack strictly follows a
-    // successful durable append), so stopping here discards nothing that
+  for (;;) {
+    // A length or checksum failure is a torn or corrupted tail. Only the
+    // FINAL record can legitimately be damaged (apply/ack strictly follows
+    // a successful durable append), so stopping here discards nothing that
     // was ever acknowledged.
-    if (Fnv1a64(payload) != want_hash) break;
+    size_t next = off;
+    std::string_view payload;
+    if (!NextWalRecord(raw, &next, &payload)) break;
     LogEntry entry;
     std::string error;
     if (!DecodeLogEntry(payload, &entry, &error)) break;
     ApplyEntry(entry);
     ++ops_replayed_;
-    off += 12 + len;
+    off = next;
   }
   // A torn tail (the crash interrupted an append) is expected: truncate to
   // the last complete entry so the next epoch starts from a clean prefix.

@@ -37,23 +37,26 @@ void PutString(std::string_view s, std::string* out) {
   out->append(s.data(), s.size());
 }
 
-namespace {
-
-/// Overwrites the 4 length bytes at `pos` after the payload behind them has
-/// been serialized in place (PutTuple/PutTemplate write a placeholder first).
-void PatchU32(std::string* out, size_t pos, size_t v) {
-  (*out)[pos] = static_cast<char>(v & 0xff);
-  (*out)[pos + 1] = static_cast<char>((v >> 8) & 0xff);
-  (*out)[pos + 2] = static_cast<char>((v >> 16) & 0xff);
-  (*out)[pos + 3] = static_cast<char>((v >> 24) & 0xff);
+void PatchU32(uint32_t v, size_t pos, std::string* out) {
+  char* p = out->data() + pos;
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
 }
 
-/// Cheap upper-ish estimate of a tuple's encoded size, for reserve().
+void PatchU64(uint64_t v, size_t pos, std::string* out) {
+  PatchU32(static_cast<uint32_t>(v & 0xffffffffu), pos, out);
+  PatchU32(static_cast<uint32_t>(v >> 32), pos + 4, out);
+}
+
+namespace {
+
+/// Upper bound of a tuple's PutTuple size, for reserve(): the u32 prefix,
+/// a 10-byte arity varint, and per field a tag plus at most 10 bytes of
+/// varint or double, plus the string bytes.
 size_t EstimateTupleBytes(const Tuple& tuple) {
-  size_t n = 16;
+  size_t n = 14;
   for (const Value& v : tuple.fields) {
     const std::string* s = std::get_if<std::string>(&v);
-    n += 28 + (s != nullptr ? s->size() : 0);
+    n += 11 + (s != nullptr ? s->size() : 0);
   }
   return n;
 }
@@ -66,14 +69,14 @@ void PutTuple(const Tuple& tuple, std::string* out) {
   const size_t len_pos = out->size();
   PutU32(0, out);
   SerializeTuple(tuple, out);
-  PatchU32(out, len_pos, out->size() - len_pos - 4);
+  PatchU32(static_cast<uint32_t>(out->size() - len_pos - 4), len_pos, out);
 }
 
 void PutTemplate(const Template& tmpl, std::string* out) {
   const size_t len_pos = out->size();
   PutU32(0, out);
   SerializeTemplate(tmpl, out);
-  PatchU32(out, len_pos, out->size() - len_pos - 4);
+  PatchU32(static_cast<uint32_t>(out->size() - len_pos - 4), len_pos, out);
 }
 
 bool ByteReader::TakeU8(uint8_t* v) {
@@ -105,40 +108,35 @@ bool ByteReader::TakeI32(int32_t* v) {
   return true;
 }
 
-bool ByteReader::TakeString(std::string* s) {
+bool ByteReader::TakeView(std::string_view* s) {
   uint32_t len = 0;
   if (!TakeU32(&len)) return false;
-  if (len > kMaxFramePayload || pos + len > data.size()) return false;
-  s->assign(data.data() + pos, len);
+  if (len > kMaxFramePayload || len > data.size() - pos) return false;
+  *s = data.substr(pos, len);
   pos += len;
+  return true;
+}
+
+bool ByteReader::TakeString(std::string* s) {
+  std::string_view view;
+  if (!TakeView(&view)) return false;
+  s->assign(view);
   return true;
 }
 
 bool ByteReader::TakeTuple(Tuple* tuple) {
   // Parse in place out of the receive buffer: no intermediate string.
-  uint32_t len = 0;
-  if (!TakeU32(&len)) return false;
-  if (len > kMaxFramePayload || pos + len > data.size()) return false;
-  const std::string_view text = data.substr(pos, len);
+  std::string_view bytes;
+  if (!TakeView(&bytes)) return false;
   size_t tpos = 0;
-  if (!DeserializeTuple(text, &tpos, tuple) || tpos != text.size()) {
-    return false;
-  }
-  pos += len;
-  return true;
+  return DeserializeTuple(bytes, &tpos, tuple) && tpos == bytes.size();
 }
 
 bool ByteReader::TakeTemplate(Template* tmpl) {
-  uint32_t len = 0;
-  if (!TakeU32(&len)) return false;
-  if (len > kMaxFramePayload || pos + len > data.size()) return false;
-  const std::string_view text = data.substr(pos, len);
+  std::string_view bytes;
+  if (!TakeView(&bytes)) return false;
   size_t tpos = 0;
-  if (!DeserializeTemplate(text, &tpos, tmpl) || tpos != text.size()) {
-    return false;
-  }
-  pos += len;
-  return true;
+  return DeserializeTemplate(bytes, &tpos, tmpl) && tpos == bytes.size();
 }
 
 namespace {
@@ -602,6 +600,29 @@ bool DecodeLogEntry(std::string_view payload, LogEntry* entry,
     entry->participants.push_back(k);
   }
   if (!r.AtEnd()) return Fail(error, "log: trailing bytes");
+  return true;
+}
+
+void PatchWalHeader(std::string* record) {
+  const std::string_view payload =
+      std::string_view(*record).substr(kWalHeaderBytes);
+  PatchU32(static_cast<uint32_t>(payload.size()), 0, record);
+  PatchU64(Checksum64(payload), 4, record);
+}
+
+bool NextWalRecord(std::string_view log, size_t* off,
+                   std::string_view* payload) {
+  if (*off > log.size() || log.size() - *off < kWalHeaderBytes) return false;
+  ByteReader r{log.substr(*off)};
+  uint32_t len = 0;
+  uint64_t want_checksum = 0;
+  r.TakeU32(&len);
+  r.TakeU64(&want_checksum);
+  if (len > kMaxFramePayload || len > r.data.size() - r.pos) return false;
+  const std::string_view body = r.data.substr(r.pos, len);
+  if (Checksum64(body) != want_checksum) return false;
+  *payload = body;
+  *off += kWalHeaderBytes + len;
   return true;
 }
 

@@ -12,8 +12,8 @@
 /// Wire protocol of the distributed tuple-space server. Every message is a
 /// frame: a u32 little-endian payload length followed by that many payload
 /// bytes. The payload is an opcode byte plus an op-specific body. Tuples and
-/// templates travel as length-prefixed strings of the textual encoding from
-/// tuple.cc. All decode paths are bounds-checked and return errors instead
+/// templates travel as u32-length-prefixed strings of the binary encoding
+/// from tuple.h. All decode paths are bounds-checked and return errors instead
 /// of reading past the buffer: a corrupt or adversarial stream yields a
 /// structured failure, never undefined behavior.
 namespace fpdm::plinda::net {
@@ -52,6 +52,12 @@ void PutString(std::string_view s, std::string* out);
 void PutTuple(const Tuple& tuple, std::string* out);
 void PutTemplate(const Template& tmpl, std::string* out);
 
+/// Overwrites the little-endian bytes at `pos` of `out`: encoders reserve a
+/// length or checksum field with a placeholder, encode the body after it in
+/// place, then patch the field.
+void PatchU32(uint32_t v, size_t pos, std::string* out);
+void PatchU64(uint64_t v, size_t pos, std::string* out);
+
 /// Bounds-checked reader over an encoded buffer. Every Take* returns false
 /// once the input is exhausted or malformed; callers bail out with a decode
 /// error instead of reading past the end.
@@ -64,6 +70,8 @@ struct ByteReader {
   bool TakeU64(uint64_t* v);
   bool TakeI32(int32_t* v);
   bool TakeString(std::string* s);
+  /// TakeString without the copy: the view points into `data`.
+  bool TakeView(std::string_view* s);
   bool TakeTuple(Tuple* tuple);
   bool TakeTemplate(Template* tmpl);
   bool AtEnd() const { return pos == data.size(); }
@@ -420,6 +428,21 @@ std::string EncodeLogEntry(const LogEntry& entry);
 void EncodeLogEntryInto(const LogEntry& entry, std::string* out);
 bool DecodeLogEntry(std::string_view payload, LogEntry* entry,
                     std::string* error);
+
+/// A WAL record is [u32 len][u64 Checksum64(payload)][payload], both header
+/// fields little-endian over the encoded LogEntry behind them.
+inline constexpr size_t kWalHeaderBytes = 12;
+
+/// Patches the WAL record header into the first kWalHeaderBytes of
+/// `record`, whose payload was encoded in place after them.
+void PatchWalHeader(std::string* record);
+
+/// Reads the WAL record at *off of a log image: sets *payload to a view of
+/// its payload and advances *off past it. Returns false, leaving *off, at
+/// the end of the log or at a torn or corrupted record — a short header, a
+/// length past the end or over kMaxFramePayload, or a checksum mismatch.
+bool NextWalRecord(std::string_view log, size_t* off,
+                   std::string_view* payload);
 
 }  // namespace fpdm::plinda::net
 

@@ -1,9 +1,6 @@
 #include "plinda/tuple.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace fpdm::plinda {
@@ -69,47 +66,82 @@ const std::string& GetString(const Tuple& tuple, size_t index) {
 
 namespace {
 
-void AppendSize(size_t n, std::string* out) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%zu:", n);
-  out->append(buf);
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+// A u64 LEB128 varint needs at most ceil(64 / 7) = 10 bytes.
+constexpr int kMaxVarintBytes = 10;
+
+void AppendVarint(uint64_t v, std::string* out) {
+  char buf[kMaxVarintBytes];
+  size_t n = 0;
+  while (v >= 0x80) {
+    buf[n++] = static_cast<char>(v | 0x80);
+    v >>= 7;
+  }
+  buf[n++] = static_cast<char>(v);
+  out->append(buf, n);
 }
 
-bool ParseSize(std::string_view data, size_t* pos, size_t* n) {
-  size_t value = 0;
-  bool any = false;
-  while (*pos < data.size() && data[*pos] >= '0' && data[*pos] <= '9') {
-    value = value * 10 + static_cast<size_t>(data[*pos] - '0');
-    ++*pos;
-    any = true;
+bool ParseVarint(std::string_view data, size_t* pos, uint64_t* v) {
+  uint64_t result = 0;
+  for (int i = 0; i < kMaxVarintBytes; ++i) {
+    if (*pos >= data.size()) return false;
+    const auto byte = static_cast<uint8_t>(data[(*pos)++]);
+    result |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
+    if ((byte & 0x80) == 0) {
+      // The 10th byte holds only bit 63; anything more overflows.
+      if (i == kMaxVarintBytes - 1 && byte > 1) return false;
+      *v = result;
+      return true;
+    }
   }
-  if (!any || *pos >= data.size() || data[*pos] != ':') return false;
-  ++*pos;
-  *n = value;
+  return false;  // an 11th byte would be needed: over-long
+}
+
+/// Parses a varint count that must fit in the rest of `data` at
+/// `min_bytes_each` encoded bytes per item, so a corrupt count is rejected
+/// before anything is sized by it.
+bool ParseCount(std::string_view data, size_t* pos, size_t min_bytes_each,
+                size_t* n) {
+  uint64_t v = 0;
+  if (!ParseVarint(data, pos, &v)) return false;
+  if (v > (data.size() - *pos) / min_bytes_each) return false;
+  *n = static_cast<size_t>(v);
   return true;
+}
+
+uint64_t LoadLe64(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
 }
 
 void AppendValue(const Value& v, std::string* out) {
   switch (TypeOf(v)) {
     case ValueType::kInt: {
+      const auto u = static_cast<uint64_t>(std::get<int64_t>(v));
       out->push_back('i');
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%lld;",
-                    static_cast<long long>(std::get<int64_t>(v)));
-      out->append(buf);
+      AppendVarint((u << 1) ^ (0 - (u >> 63)), out);  // zigzag
       break;
     }
     case ValueType::kDouble: {
-      out->push_back('d');
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "%.17g;", std::get<double>(v));
-      out->append(buf);
+      uint64_t bits;
+      std::memcpy(&bits, &std::get<double>(v), sizeof(bits));
+      char buf[1 + sizeof(bits)];
+      buf[0] = 'd';
+      for (int i = 0; i < 8; ++i) {
+        buf[1 + i] = static_cast<char>(bits >> (8 * i));
+      }
+      out->append(buf, sizeof(buf));
       break;
     }
     case ValueType::kString: {
       const std::string& s = std::get<std::string>(v);
       out->push_back('s');
-      AppendSize(s.size(), out);
+      AppendVarint(s.size(), out);
       out->append(s);
       break;
     }
@@ -118,34 +150,32 @@ void AppendValue(const Value& v, std::string* out) {
 
 bool ParseValue(std::string_view data, size_t* pos, Value* value) {
   if (*pos >= data.size()) return false;
-  char tag = data[(*pos)++];
-  if (tag == 'i' || tag == 'd') {
-    const size_t end = data.find(';', *pos);
-    if (end == std::string_view::npos) return false;
-    // The numeric token needs a NUL terminator for strtoll/strtod; it is
-    // short, so a stack copy beats materializing the whole input.
-    char token[64];
-    const size_t len = end - *pos;
-    if (len >= sizeof(token)) return false;
-    std::memcpy(token, data.data() + *pos, len);
-    token[len] = '\0';
-    *pos = end + 1;
-    if (tag == 'i') {
-      *value = static_cast<int64_t>(std::strtoll(token, nullptr, 10));
-    } else {
-      *value = std::strtod(token, nullptr);
+  switch (data[(*pos)++]) {
+    case 'i': {
+      uint64_t u = 0;
+      if (!ParseVarint(data, pos, &u)) return false;
+      *value = static_cast<int64_t>((u >> 1) ^ (0 - (u & 1)));
+      return true;
     }
-    return true;
+    case 'd': {
+      if (data.size() - *pos < sizeof(double)) return false;
+      const uint64_t bits = LoadLe64(data.data() + *pos);
+      double d;
+      std::memcpy(&d, &bits, sizeof(d));
+      *value = d;
+      *pos += sizeof(double);
+      return true;
+    }
+    case 's': {
+      size_t len = 0;
+      if (!ParseCount(data, pos, 1, &len)) return false;
+      *value = std::string(data.substr(*pos, len));
+      *pos += len;
+      return true;
+    }
+    default:
+      return false;
   }
-  if (tag == 's') {
-    size_t len = 0;
-    if (!ParseSize(data, pos, &len)) return false;
-    if (*pos + len > data.size()) return false;
-    *value = std::string(data.substr(*pos, len));
-    *pos += len;
-    return true;
-  }
-  return false;
 }
 
 char TypeTag(ValueType type) {
@@ -179,27 +209,24 @@ bool TypeFromTag(char tag, ValueType* type) {
 }  // namespace
 
 void SerializeTuple(const Tuple& tuple, std::string* out) {
-  AppendSize(tuple.fields.size(), out);
+  AppendVarint(tuple.fields.size(), out);
   for (const Value& v : tuple.fields) AppendValue(v, out);
 }
 
 bool DeserializeTuple(std::string_view data, size_t* pos, Tuple* tuple) {
   tuple->fields.clear();
+  // Every value costs at least 2 encoded bytes (tag + 1-byte varint).
   size_t arity = 0;
-  if (!ParseSize(data, pos, &arity)) return false;
-  // Each field costs at least 2 encoded bytes, so a bounded reserve cannot
-  // be tricked into a huge allocation by a corrupt arity.
-  tuple->fields.reserve(std::min(arity, (data.size() - *pos) / 2 + 1));
+  if (!ParseCount(data, pos, 2, &arity)) return false;
+  tuple->fields.reserve(arity);
   for (size_t i = 0; i < arity; ++i) {
-    Value v;
-    if (!ParseValue(data, pos, &v)) return false;
-    tuple->fields.push_back(std::move(v));
+    if (!ParseValue(data, pos, &tuple->fields.emplace_back())) return false;
   }
   return true;
 }
 
 void SerializeTemplate(const Template& tmpl, std::string* out) {
-  AppendSize(tmpl.fields.size(), out);
+  AppendVarint(tmpl.fields.size(), out);
   for (const TemplateField& f : tmpl.fields) {
     if (f.is_formal) {
       out->push_back('F');
@@ -214,9 +241,10 @@ void SerializeTemplate(const Template& tmpl, std::string* out) {
 bool DeserializeTemplate(std::string_view data, size_t* pos,
                          Template* tmpl) {
   tmpl->fields.clear();
+  // A formal is 2 bytes, an actual at least 3.
   size_t arity = 0;
-  if (!ParseSize(data, pos, &arity)) return false;
-  tmpl->fields.reserve(std::min(arity, (data.size() - *pos) / 2 + 1));
+  if (!ParseCount(data, pos, 2, &arity)) return false;
+  tmpl->fields.reserve(arity);
   for (size_t i = 0; i < arity; ++i) {
     if (*pos >= data.size()) return false;
     char kind = data[(*pos)++];
@@ -237,11 +265,30 @@ bool DeserializeTemplate(std::string_view data, size_t* pos,
 }
 
 uint64_t Fnv1a64(std::string_view data) {
-  uint64_t hash = 14695981039346656037ull;
+  uint64_t hash = kFnvOffset;
   for (char c : data) {
     hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
+    hash *= kFnvPrime;
   }
+  return hash;
+}
+
+uint64_t Checksum64(std::string_view data) {
+  uint64_t hash = kFnvOffset;
+  const char* p = data.data();
+  const char* const words_end = p + (data.size() & ~size_t{7});
+  for (; p != words_end; p += 8) {
+    hash ^= LoadLe64(p);
+    hash *= kFnvPrime;
+  }
+  for (; p != data.data() + data.size(); ++p) {
+    hash ^= static_cast<unsigned char>(*p);
+    hash *= kFnvPrime;
+  }
+  // The length closes the hash, so an input and its zero-extension never
+  // collide through a degenerate tail step.
+  hash ^= data.size();
+  hash *= kFnvPrime;
   return hash;
 }
 

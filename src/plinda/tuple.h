@@ -81,28 +81,54 @@ double GetDouble(const Tuple& tuple, size_t index);
 const std::string& GetString(const Tuple& tuple, size_t index);
 
 // --- Serialization -------------------------------------------------------
+//
+// One binary codec carries tuples and templates everywhere they leave the
+// process: wire frames, WAL records, server snapshots and tuple-space
+// checkpoints. Byte layout:
+//
+//   tuple    := varint(arity) value*
+//   value    := 'i' zigzag-varint(int64)
+//             | 'd' 8 bytes: the IEEE-754 bit pattern, little-endian
+//             | 's' varint(length) bytes
+//   template := varint(arity) field*
+//   field    := 'A' value | 'F' ('i' | 'd' | 's')
+//
+// A varint is unsigned LEB128 (7 bits per byte, low group first, high bit
+// set on every byte but the last; at most 10 bytes). Zigzag maps signed to
+// unsigned so small negative ints stay short: 0, -1, 1, -2 -> 0, 1, 2, 3.
 
-/// Appends a portable textual encoding of the tuple to `out` (used by the
-/// checkpoint-protected tuple space).
+/// Appends the binary encoding of `tuple` to `out`.
 void SerializeTuple(const Tuple& tuple, std::string* out);
 
 /// Parses one tuple starting at *pos; advances *pos. Returns false on
-/// malformed input. Takes a view so wire decoders can parse tuples in place
-/// out of a received frame without copying the bytes first.
+/// malformed input: an unknown tag, a varint longer than 10 bytes or
+/// overflowing 64 bits, or an arity or string length that the remaining
+/// bytes cannot hold (rejected before anything is allocated for it). Takes
+/// a view so wire decoders can parse tuples in place out of a received
+/// frame without copying the bytes first.
 bool DeserializeTuple(std::string_view data, size_t* pos, Tuple* tuple);
 
-/// Appends a portable textual encoding of a template (anti-tuple): actuals
-/// use the tuple value encoding, formals carry only a type tag. Used by the
-/// wire protocol of the distributed tuple-space server.
+/// Appends the binary encoding of a template (anti-tuple): actuals use the
+/// tuple value encoding, formals carry only a type tag.
 void SerializeTemplate(const Template& tmpl, std::string* out);
 
-/// Parses one template starting at *pos; advances *pos. Returns false on
-/// malformed input. Takes a view for the same in-place reason as
-/// DeserializeTuple.
+/// Parses one template starting at *pos; advances *pos. Same rejection
+/// rules and in-place reason as DeserializeTuple.
 bool DeserializeTemplate(std::string_view data, size_t* pos, Template* tmpl);
 
-/// 64-bit FNV-1a hash, shared by checkpoint checksumming and shard routing.
+/// 64-bit FNV-1a hash, one byte per step. This is the bucket-placement hash
+/// (BucketStripeIndex): changing it moves tuples between stripes and
+/// servers.
 uint64_t Fnv1a64(std::string_view data);
+
+/// Checksum of WAL records, server snapshots and tuple-space checkpoints:
+/// FNV-1a taken a 64-bit little-endian word per step (h ^= word; h *=
+/// prime), then the tail bytes one per step, then the length. Each step is
+/// a bijection of the state for a fixed input and injective in the input
+/// for a fixed state, so a corruption confined to one step's input (one
+/// word or one tail byte), in particular any single-byte change, always
+/// changes the result.
+uint64_t Checksum64(std::string_view data);
 
 /// Human-readable rendering for logs and test failures.
 std::string ToString(const Tuple& tuple);

@@ -1,7 +1,6 @@
 #include "plinda/tuple_space.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <vector>
 
@@ -155,11 +154,36 @@ std::vector<Tuple> TupleSpace::TakeAllInOrder() {
 
 namespace {
 
-constexpr char kCheckpointMagic[] = "fpdmckpt1:";
+// Layout: magic, then three little-endian u64 words — checksum, tuple count,
+// payload bytes — then the payload (the tuples' binary encodings). The
+// checksum covers the count, the payload size and the payload.
+constexpr std::string_view kCheckpointMagic = "fpdmckpt2:";
+constexpr size_t kChecksumPos = kCheckpointMagic.size();
+constexpr size_t kCountPos = kChecksumPos + 8;
+constexpr size_t kPayloadBytesPos = kCountPos + 8;
+constexpr size_t kCheckpointHeaderBytes = kPayloadBytesPos + 8;
+
+void StoreU64(uint64_t v, char* p) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
+uint64_t LoadU64(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
+}
 
 }  // namespace
 
 std::string TupleSpace::Checkpoint() const {
+  std::string out;
+  CheckpointInto(&out);
+  return out;
+}
+
+void TupleSpace::CheckpointInto(std::string* out) const {
   // Tuples are written in global sequence order so that Restore reproduces
   // the FIFO matching order exactly.
   std::vector<const Stored*> all;
@@ -170,67 +194,41 @@ std::string TupleSpace::Checkpoint() const {
   std::sort(all.begin(), all.end(), [](const Stored* a, const Stored* b) {
     return a->sequence < b->sequence;
   });
-  std::string payload;
-  for (const Stored* stored : all) SerializeTuple(stored->tuple, &payload);
-  // Header: magic, tuple count, payload bytes, FNV-1a of the payload. Every
-  // strict prefix and every byte flip of the result fails at least one of
-  // the header checks in Restore.
-  char header[96];
-  std::snprintf(header, sizeof(header), "%s%zu:%zu:%016llx:", kCheckpointMagic,
-                all.size(), payload.size(),
-                static_cast<unsigned long long>(Fnv1a64(payload)));
-  return std::string(header) + payload;
+  // The header is reserved up front and patched once the payload is in
+  // place, so the tuples are encoded straight into `out`.
+  const size_t base = out->size();
+  out->append(kCheckpointMagic);
+  out->resize(base + kCheckpointHeaderBytes);
+  for (const Stored* stored : all) SerializeTuple(stored->tuple, out);
+  char* header = out->data() + base;
+  StoreU64(all.size(), header + kCountPos);
+  StoreU64(out->size() - base - kCheckpointHeaderBytes,
+           header + kPayloadBytesPos);
+  StoreU64(Checksum64(std::string_view(*out).substr(base + kCountPos)),
+           header + kChecksumPos);
 }
 
-bool TupleSpace::Restore(const std::string& checkpoint) {
+bool TupleSpace::Restore(std::string_view checkpoint) {
   Clear();
   next_sequence_ = 0;
-  const size_t magic_len = sizeof(kCheckpointMagic) - 1;
-  if (checkpoint.compare(0, magic_len, kCheckpointMagic) != 0) return false;
-  size_t pos = magic_len;
-  auto parse_field = [&](size_t* value) {
-    size_t v = 0;
-    bool any = false;
-    while (pos < checkpoint.size() && checkpoint[pos] >= '0' &&
-           checkpoint[pos] <= '9') {
-      v = v * 10 + static_cast<size_t>(checkpoint[pos] - '0');
-      ++pos;
-      any = true;
-    }
-    if (!any || pos >= checkpoint.size() || checkpoint[pos] != ':') {
-      return false;
-    }
-    ++pos;
-    *value = v;
-    return true;
-  };
-  size_t count = 0, payload_bytes = 0;
-  if (!parse_field(&count) || !parse_field(&payload_bytes)) return false;
-  if (pos + 17 > checkpoint.size() || checkpoint[pos + 16] != ':') return false;
-  uint64_t want_hash = 0;
-  for (int i = 0; i < 16; ++i) {
-    const char c = checkpoint[pos + static_cast<size_t>(i)];
-    uint64_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<uint64_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    want_hash = (want_hash << 4) | digit;
+  if (checkpoint.size() < kCheckpointHeaderBytes ||
+      checkpoint.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
+    return false;
   }
-  pos += 17;
-  // The payload must span the rest of the string exactly: truncation and
-  // trailing garbage both fail here.
-  if (checkpoint.size() - pos != payload_bytes) return false;
-  const std::string payload = checkpoint.substr(pos);
-  if (Fnv1a64(payload) != want_hash) return false;
-  size_t ppos = 0;
-  size_t restored = 0;
-  while (ppos < payload.size()) {
+  const char* header = checkpoint.data();
+  const uint64_t want_checksum = LoadU64(header + kChecksumPos);
+  const uint64_t count = LoadU64(header + kCountPos);
+  const uint64_t payload_bytes = LoadU64(header + kPayloadBytesPos);
+  // The payload must span the rest of the input exactly: truncation and
+  // trailing garbage both fail here, before the checksum pass.
+  const std::string_view payload = checkpoint.substr(kCheckpointHeaderBytes);
+  if (payload.size() != payload_bytes) return false;
+  if (Checksum64(checkpoint.substr(kCountPos)) != want_checksum) return false;
+  size_t pos = 0;
+  uint64_t restored = 0;
+  while (pos < payload.size()) {
     Tuple tuple;
-    if (!DeserializeTuple(payload, &ppos, &tuple)) {
+    if (!DeserializeTuple(payload, &pos, &tuple)) {
       Clear();
       return false;
     }

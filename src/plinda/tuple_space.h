@@ -92,17 +92,21 @@ class TupleSpace {
   std::vector<Tuple> TakeAllInOrder();
 
   /// Serializes the whole space (checkpoint-protected tuple space, §2.4.6).
-  /// The encoding carries a self-describing header — magic, payload size,
-  /// tuple count and a 64-bit FNV-1a checksum — so that Restore can reject
-  /// any truncated or bit-flipped image instead of silently accepting a
-  /// prefix that happens to end on a tuple boundary.
+  /// The encoding carries a self-describing header — magic, a Checksum64
+  /// word, tuple count and payload size — so that Restore can reject any
+  /// truncated or corrupted image instead of silently accepting a prefix
+  /// that happens to end on a tuple boundary.
   std::string Checkpoint() const;
+
+  /// Appends the Checkpoint() encoding to `out`, writing each byte once:
+  /// the header is reserved and patched in place after the tuples.
+  void CheckpointInto(std::string* out) const;
 
   /// Replaces the contents of the space with a checkpoint produced by
   /// Checkpoint(). Returns false (leaving the space empty) on corrupt,
   /// truncated or extended input; an empty string is not a valid checkpoint
   /// (Checkpoint() of an empty space emits a header).
-  bool Restore(const std::string& checkpoint);
+  bool Restore(std::string_view checkpoint);
 
  private:
   struct Stored {

@@ -288,6 +288,41 @@ TEST(WireFuzzTest, RandomByteFlipsNeverCrashTheDecoders) {
   }
 }
 
+// The replay-side check of a WAL record: every other value of every byte
+// of one record — length, checksum and payload — must stop NextWalRecord,
+// which is what makes ReplayLog truncate instead of applying the record.
+TEST(WireFuzzTest, EveryWalRecordByteChangeIsRejected) {
+  LogEntry entry;
+  entry.kind = LogKind::kCommit;
+  entry.pid = 3;
+  entry.seq = 17;
+  entry.outs.push_back(MakeTuple("cost", "AB*C", 0.125));
+  entry.outs.push_back(MakeTuple("task", "AB*C", int64_t{4}, int64_t{0}));
+  std::string record(kWalHeaderBytes, '\0');
+  EncodeLogEntryInto(entry, &record);
+  PatchWalHeader(&record);
+
+  size_t off = 0;
+  std::string_view payload;
+  ASSERT_TRUE(NextWalRecord(record, &off, &payload));
+  EXPECT_EQ(off, record.size());
+  LogEntry back;
+  std::string error;
+  ASSERT_TRUE(DecodeLogEntry(payload, &back, &error)) << error;
+  EXPECT_EQ(back.outs, entry.outs);
+
+  for (size_t i = 0; i < record.size(); ++i) {
+    std::string corrupt = record;
+    for (int delta = 1; delta < 256; ++delta) {
+      corrupt[i] = static_cast<char>(record[i] + delta);
+      off = 0;
+      ASSERT_FALSE(NextWalRecord(corrupt, &off, &payload))
+          << i << " +" << delta;
+      EXPECT_EQ(off, 0u);
+    }
+  }
+}
+
 TEST(WireFuzzTest, GarbageStreamsNeverCrashTheFrameReader) {
   uint64_t state = 0xdeadbeefcafef00dull;
   auto next = [&state] {

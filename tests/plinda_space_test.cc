@@ -173,12 +173,15 @@ TEST_F(CheckpointCorruptionTest, EveryPrefixRejected) {
 }
 
 TEST_F(CheckpointCorruptionTest, EverySingleByteFlipRejected) {
+  // Exhaustive: every other value at every offset — magic, header words and
+  // payload. The checksum is exact for one changed byte, not just likely.
   const std::string checkpoint = ValidCheckpoint();
   for (size_t i = 0; i < checkpoint.size(); ++i) {
     std::string corrupt = checkpoint;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x20);  // flip within printable
-    if (corrupt[i] == checkpoint[i]) continue;
-    ExpectRejected(corrupt, "byte flip", i);
+    for (int delta = 1; delta < 256; ++delta) {
+      corrupt[i] = static_cast<char>(checkpoint[i] + delta);
+      ExpectRejected(corrupt, "byte change", i);
+    }
   }
 }
 
@@ -200,6 +203,35 @@ TEST_F(CheckpointCorruptionTest, TrailingGarbageRejected) {
   const std::string checkpoint = ValidCheckpoint();
   ExpectRejected(checkpoint + "x", "trailing garbage", 0);
   ExpectRejected(checkpoint + checkpoint, "doubled checkpoint", 0);
+}
+
+// Golden placement indices. BucketStripeIndex decides which stripe and
+// which server own a bucket, so a change of hash must not move them: a
+// restarted server would look for its tuples on the wrong stripe.
+TEST(TupleSpaceTest, BucketStripeIndexIsPinned) {
+  struct Golden {
+    size_t arity;
+    const char* key;
+    size_t index[5];  // for n = 2, 3, 4, 7, 1024
+  };
+  const Golden goldens[] = {
+      {0, "", {1, 1, 3, 2, 315}},
+      {1, "", {0, 0, 2, 1, 314}},
+      {2, "result", {0, 1, 0, 3, 908}},
+      {3, "cost", {0, 2, 2, 0, 654}},
+      {4, "task", {0, 0, 0, 1, 480}},
+      {2, "persist", {0, 1, 0, 5, 828}},
+      {3, "cont", {0, 0, 2, 6, 990}},
+      {5, "a longer bucket key", {1, 2, 3, 6, 587}},
+  };
+  const size_t ns[] = {2, 3, 4, 7, 1024};
+  for (const Golden& g : goldens) {
+    for (size_t j = 0; j < 5; ++j) {
+      EXPECT_EQ(BucketStripeIndex({g.arity, g.key}, ns[j]), g.index[j])
+          << g.arity << "/" << g.key << " n=" << ns[j];
+    }
+    EXPECT_EQ(BucketStripeIndex({g.arity, g.key}, 1), 0u);
+  }
 }
 
 TEST(TupleSpaceTest, ManyTuplesStressFifo) {
