@@ -111,20 +111,17 @@ BENCHMARK(BM_TupleSpaceMatchMiss);
 // iteration, the PR-3 behavior); the batched variant coalesces the same
 // 512 sub-ops into two kBatch frames flushed in one round trip each. The
 // items/s ratio between the two rows is the headline batching win.
-/// The transport axis of the wire benches: a Unix-domain socket, loopback
-/// TCP (port 0, the server publishes the kernel-assigned port through the
-/// resolved-endpoint file), or the shared-memory rings (`shm:`, where the
-/// socket path carries only the handshake and frames ride memfd rings).
-enum class WireTransport { kUnix, kTcp, kShm };
+/// The transport axis of the wire benches: a Unix-domain socket, or
+/// loopback TCP (port 0, the server publishes the kernel-assigned port
+/// through the resolved-endpoint file).
+enum class WireTransport { kUnix, kTcp };
 
 class WireBench {
  public:
   explicit WireBench(WireTransport transport = WireTransport::kUnix) {
     dir_ = plinda::net::MakeStateDir();
     const bool tcp = transport == WireTransport::kTcp;
-    std::string endpoint = transport == WireTransport::kShm
-                               ? "shm:" + dir_ + "/space.sock"
-                               : dir_ + "/space.sock";
+    std::string endpoint = dir_ + "/space.sock";
     sopts_.endpoint = tcp ? "tcp:127.0.0.1:0" : endpoint;
     if (tcp) sopts_.resolved_endpoint_file = dir_ + "/endpoint";
     sopts_.state_dir = dir_ + "/state";
@@ -176,9 +173,7 @@ class WireBench {
     // Transport-level observability: I/O syscalls and payload bytes on the
     // client side plus the server's own count from STATS. The bytes stay
     // flat across transports (same frames); the syscall count is how much
-    // of the data path needed the kernel — on the shm rows it collapses to
-    // doorbell wakes whenever the peer is running, and inflates to
-    // park/wake pairs when it isn't (e.g. a single-core host).
+    // of the data path needed the kernel.
     uint64_t syscalls = client_->transport_syscalls();
     uint64_t bytes = client_->transport_bytes();
     plinda::net::Reply stats;
@@ -276,43 +271,11 @@ void BM_WireBatchedOutInTcp(benchmark::State& state) {
 }
 BENCHMARK(BM_WireBatchedOutInTcp)->UseRealTime();
 
-// The same batched out/in workload over the shared-memory rings: frames
-// copy into a memfd ring and the doorbell eventfd/futex only fire when
-// someone actually slept, so with both sides running the data path makes
-// no syscalls. The items/s ratio against BM_WireBatchedOutIn is the
-// transport's share of a server-bound workload — expect a win on
-// multicore hosts and parity on a single core, where every round trip
-// must park and wake instead of overlapping with a live consumer.
-void BM_WireBatchedOutInShm(benchmark::State& state) {
-  using namespace plinda;
-  WireBench bench(WireTransport::kShm);
-  if (!bench.ok()) {
-    state.SkipWithError("server connect failed");
-    return;
-  }
-  const Template query = MakeTemplate(A("w"), F(ValueType::kInt));
-  for (auto _ : state) {
-    for (int i = 0; i < kWireOps; ++i) {
-      bench.client().BatchOut(MakeTuple("w", i));
-    }
-    for (int i = 0; i < kWireOps; ++i) {
-      bench.client().BatchIn(query, /*remove=*/true);
-    }
-    if (bench.client().Flush() != net::RemoteTupleSpace::CallStatus::kOk) {
-      state.SkipWithError("flush failed");
-      return;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kWireOps * 2);
-  bench.FillCounters(state);
-}
-BENCHMARK(BM_WireBatchedOutInShm)->UseRealTime();
-
 // Single-op latency across the transport axis: one unbatched Out and one
 // unbatched take per iteration, each a full request/reply round trip, so
 // real_time/2 is the per-op wire latency in microseconds. Batching can't
-// hide anything here — this row is where the shm doorbell-vs-socket
-// difference shows up undiluted.
+// hide anything here — this row is where a transport's per-message cost
+// shows up undiluted.
 void BM_WirePingPong(benchmark::State& state, WireTransport transport) {
   using namespace plinda;
   WireBench bench(transport);
@@ -333,9 +296,6 @@ BENCHMARK_CAPTURE(BM_WirePingPong, unix, WireTransport::kUnix)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_WirePingPong, tcp, WireTransport::kTcp)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_WirePingPong, shm, WireTransport::kShm)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -168,8 +168,7 @@ void FillWireCounters(benchmark::State& state,
       static_cast<double>(stats.wal_synced_bytes);
   // Transport-level observability, summed across the shard servers:
   // read/write/accept syscalls on the data path and payload bytes moved.
-  // Across the transport matrix the bytes stay flat (same frames) while
-  // the shm rows' syscall count collapses to doorbell wakes.
+  // Across the transport matrix the bytes stay flat (same frames).
   state.counters["transport_syscalls"] =
       static_cast<double>(stats.transport_syscalls);
   state.counters["transport_bytes"] =
@@ -303,7 +302,7 @@ BENCHMARK(BM_ScatterGatherDistributed)
 // of the epoll I/O thread + strand workers + group-commit WAL over the
 // single-threaded serve loop on the same protocol. p99 burst latency (µs)
 // rides along so a throughput win bought with a latency collapse shows up.
-enum class SaturationTransport { kUnix, kTcp, kShm };
+enum class SaturationTransport { kUnix, kTcp };
 
 void ServerSaturationImpl(benchmark::State& state,
                           SaturationTransport transport,
@@ -316,9 +315,7 @@ void ServerSaturationImpl(benchmark::State& state,
   constexpr int kRounds = 48;  // bursts per client per iteration
   const std::string dir = net::MakeStateDir();
   net::SpaceServerOptions sopts;
-  std::string endpoint = transport == SaturationTransport::kShm
-                             ? "shm:" + dir + "/space.sock"
-                             : dir + "/space.sock";
+  std::string endpoint = dir + "/space.sock";
   sopts.endpoint = tcp ? "tcp:127.0.0.1:0" : endpoint;
   if (tcp) sopts.resolved_endpoint_file = dir + "/endpoint";
   sopts.state_dir = dir + "/state";
@@ -476,22 +473,6 @@ void BM_ServerSaturationTcp(benchmark::State& state) {
   ServerSaturationImpl(state, SaturationTransport::kTcp);
 }
 BENCHMARK(BM_ServerSaturationTcp)
-    ->Args({1, 1})
-    ->Args({8, 4})
-    ->Iterations(3)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The same saturation workload over the shared-memory rings: 8 client
-// threads hammering one server through per-connection memfd rings, with
-// the epoll loop woken only by doorbell eventfds. Saturation is where
-// shm earns its keep even without spare cores — ring copies replace
-// socket reads/writes in the server's hot loop, which shows up as
-// items/s and p99 wins over the matching unix/tcp rows.
-void BM_ServerSaturationShm(benchmark::State& state) {
-  ServerSaturationImpl(state, SaturationTransport::kShm);
-}
-BENCHMARK(BM_ServerSaturationShm)
     ->Args({1, 1})
     ->Args({8, 4})
     ->Iterations(3)

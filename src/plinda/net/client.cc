@@ -99,13 +99,7 @@ RemoteTupleSpace::RemoteTupleSpace(RemoteSpaceOptions options)
 RemoteTupleSpace::~RemoteTupleSpace() { CloseFd(); }
 
 void RemoteTupleSpace::CloseFd() {
-  if (shm_ != nullptr) {
-    // The ShmConn owns every descriptor (fd_ is its doorbell): its teardown
-    // closes the rings, wakes the server, and closes the handshake socket.
-    transport_syscalls_ += shm_->syscalls();
-    shm_.reset();
-    fd_ = -1;
-  } else if (fd_ >= 0) {
+  if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
@@ -113,11 +107,7 @@ void RemoteTupleSpace::CloseFd() {
   pipeline_written_ = 0;  // a fresh connection resends the unreplied tail
 }
 
-void RemoteTupleSpace::Abandon() {
-  // A forked child must not tear down rings its parent still uses.
-  if (shm_ != nullptr) shm_->Abandon();
-  CloseFd();
-}
+void RemoteTupleSpace::Abandon() { CloseFd(); }
 
 void RemoteTupleSpace::BackoffSleep() {
   if (backoff_s_ <= 0) backoff_s_ = options_.reconnect_interval_s;
@@ -142,22 +132,7 @@ bool RemoteTupleSpace::EnsureConnected() {
   const int fd = ConnectEndpoint(endpoint);
   if (fd < 0) return false;
   if (endpoint.kind == Endpoint::Kind::kTcp) ApplyTcpSocketOptions(fd);
-  if (endpoint.kind == Endpoint::Kind::kShm && options_.pid >= 0) {
-    // Registered clients run the ring handshake; control connections
-    // (pid < 0: the supervisor, probes, the chaos controller) keep
-    // speaking plain frames over the handshake socket, which is exactly
-    // what keeps the heal path open through a chaos partition.
-    std::string shm_error;
-    shm_ = ShmConn::ClientConnect(fd, kShmDefaultRingBytes,
-                                  /*ack_timeout_s=*/1.0, &shm_error);
-    if (shm_ == nullptr) {
-      last_error_ = shm_error;
-      return false;
-    }
-    fd_ = shm_->wake_fd();  // pollable doorbell: ParkAndWait watches it
-  } else {
-    fd_ = fd;
-  }
+  fd_ = fd;
   reader_ = FrameReader{};
   if (options_.pid < 0) {  // control connections skip HELLO
     backoff_s_ = 0;
@@ -171,7 +146,7 @@ bool RemoteTupleSpace::EnsureConnected() {
   AppendFrame(EncodeRequest(hello), &framed);
   Reply reply;
   bool wire_error = false;
-  if (!TransportWriteAll(framed.data(), framed.size()) ||
+  if (!SendAll(framed.data(), framed.size()) ||
       !ReadReply(&reply, &wire_error) || reply.status != WireStatus::kOk) {
     CloseFd();
     return false;
@@ -181,108 +156,21 @@ bool RemoteTupleSpace::EnsureConnected() {
   return true;
 }
 
-bool RemoteTupleSpace::TransportWriteAll(const char* data, size_t n) {
-  if (shm_ == nullptr) {
-    size_t off = 0;
-    while (off < n) {
-      ++transport_syscalls_;
-      // MSG_NOSIGNAL: writing to a crashed server must surface as EPIPE
-      // (the reconnect path), not deliver SIGPIPE to the caller.
-      const ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<size_t>(w);
-    }
-    bytes_sent_ += n;
-    return true;
-  }
-  // Ring write, blocking on a full ring with the two-phase arm/recheck
-  // protocol. The server drains c2s unconditionally (even while
-  // partitioned it reads frames before blackholing them), so this cannot
-  // deadlock; it unblocks early if the server process dies.
+bool RemoteTupleSpace::SendAll(const char* data, size_t n) {
   size_t off = 0;
-  bool peer_dead = false;
   while (off < n) {
-    bool wake_reader = false;
-    const size_t w = shm_->out().TryWrite(data + off, n - off, &wake_reader);
-    if (wake_reader) {
-      shm_->WakePeer(/*data_on_out=*/true, /*space_on_in=*/false);
-    }
-    if (w > 0) {
-      off += w;
-      continue;
-    }
-    if (shm_->closed() || peer_dead) return false;
-    const uint32_t seen = shm_->out().space_seq();
-    shm_->out().ArmWriter();
-    if (shm_->out().WriteSpace() > 0 || shm_->out().closed()) {
-      shm_->out().DisarmWriter();
-      continue;
-    }
     ++transport_syscalls_;
-    shm_->out().WaitSpace(seen, 50);
-    if (!shm_->PeerAlive()) peer_dead = true;  // fail after a final drain try
+    // MSG_NOSIGNAL: writing to a crashed server must surface as EPIPE
+    // (the reconnect path), not deliver SIGPIPE to the caller.
+    const ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<size_t>(w);
   }
   bytes_sent_ += n;
   return true;
-}
-
-bool RemoteTupleSpace::TransportWritev(std::vector<iovec> iov) {
-  if (shm_ == nullptr) {
-    return WritevAll(fd_, std::move(iov), &bytes_sent_,
-                     &transport_syscalls_);
-  }
-  // Ring writes are all-or-fail per frame, so a gathered flush is just the
-  // frames in order — no partial-frame cursor to track across failures.
-  for (const iovec& v : iov) {
-    if (!TransportWriteAll(static_cast<const char*>(v.iov_base),
-                           v.iov_len)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-ssize_t RemoteTupleSpace::ShmRecv(char* buf, size_t cap, bool block) {
-  for (;;) {
-    bool wake_writer = false;
-    const size_t n = shm_->in().TryRead(buf, cap, &wake_writer);
-    if (wake_writer) {
-      shm_->WakePeer(/*data_on_out=*/false, /*space_on_in=*/true);
-    }
-    if (n > 0) {
-      bytes_received_ += n;
-      return static_cast<ssize_t>(n);
-    }
-    if (shm_->closed()) return -1;  // closed AND drained: the conn is done
-    const uint32_t seen = shm_->in().data_seq();
-    shm_->in().ArmReader();
-    if (shm_->in().ReadAvailable() > 0 || shm_->in().closed()) {
-      shm_->in().DisarmReader();
-      continue;
-    }
-    if (!block) {
-      // Leave the reader armed: the server's next publish rings wake_fd,
-      // which is the descriptor nonblocking callers poll. A SIGKILLed
-      // server never closes the rings, so probe the handshake socket too.
-      if (!shm_->PeerAlive()) return -1;
-      return 0;
-    }
-    ++transport_syscalls_;
-    shm_->in().WaitData(seen, 50);
-    shm_->DrainWake();
-    if (!shm_->PeerAlive()) {
-      bool wake2 = false;
-      const size_t m = shm_->in().TryRead(buf, cap, &wake2);
-      if (m > 0) {
-        bytes_received_ += m;
-        return static_cast<ssize_t>(m);
-      }
-      return -1;
-    }
-  }
 }
 
 bool RemoteTupleSpace::ReadReply(Reply* reply, bool* wire_error) {
@@ -295,12 +183,6 @@ bool RemoteTupleSpace::ReadReply(Reply* reply, bool* wire_error) {
       last_error_ = reader_.error();
       *wire_error = true;
       return false;
-    }
-    if (shm_ != nullptr) {
-      const ssize_t n = ShmRecv(buf, sizeof(buf), /*block=*/true);
-      if (n <= 0) return false;  // the server went away
-      reader_.Feed(buf, static_cast<size_t>(n));
-      continue;
     }
     ++transport_syscalls_;
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
@@ -424,7 +306,8 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::SyncFlush(
       for (PendingFrame& f : queued_) {
         iov.push_back(iovec{f.framed.data(), f.framed.size()});
       }
-      bool transport_ok = TransportWritev(std::move(iov));
+      bool transport_ok =
+          WritevAll(fd_, std::move(iov), &bytes_sent_, &transport_syscalls_);
       if (transport_ok) frames_sent_ += queued_.size();
       while (transport_ok && !queued_.empty()) {
         Reply reply;
@@ -513,7 +396,7 @@ void RemoteTupleSpace::Bye() {
   AppendFrame(EncodeRequest(request), &framed);
   Reply reply;
   bool wire_error = false;
-  if (TransportWriteAll(framed.data(), framed.size())) {
+  if (SendAll(framed.data(), framed.size())) {
     ReadReply(&reply, &wire_error);
   }
   CloseFd();
@@ -595,7 +478,7 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::BeginControl(Op op,
   request.incarnation = options_.incarnation;
   std::string framed;
   AppendFrame(EncodeRequest(request), &framed);
-  if (!TransportWriteAll(framed.data(), framed.size())) {
+  if (!SendAll(framed.data(), framed.size())) {
     CloseFd();
     return CallStatus::kUnreachable;
   }
@@ -640,18 +523,6 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::PollStatus(Reply* reply) {
       status_inflight_ = false;
       last_error_ = reader_.error();
       return CallStatus::kWireError;
-    }
-    if (shm_ != nullptr) {
-      shm_->DrainWake();
-      const ssize_t n = ShmRecv(buf, sizeof(buf), /*block=*/false);
-      if (n > 0) {
-        reader_.Feed(buf, static_cast<size_t>(n));
-        continue;
-      }
-      if (n == 0) return CallStatus::kPending;
-      CloseFd();
-      status_inflight_ = false;
-      return CallStatus::kUnreachable;
     }
     ++transport_syscalls_;
     pollfd pfd{fd_, POLLIN, 0};
@@ -706,7 +577,7 @@ void RemoteTupleSpace::FlushPipeline() {
     iov.push_back(iovec{pipeline_[i].data(), pipeline_[i].size()});
   }
   const size_t n = iov.size();
-  if (!TransportWritev(std::move(iov))) {
+  if (!WritevAll(fd_, std::move(iov), &bytes_sent_, &transport_syscalls_)) {
     CloseFd();
     return;
   }
@@ -821,17 +692,6 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::PollPipeline(Reply* reply) {
       last_error_ = reader_.error();
       pipeline_.clear();
       return CallStatus::kWireError;
-    }
-    if (shm_ != nullptr) {
-      shm_->DrainWake();
-      const ssize_t got = ShmRecv(buf, sizeof(buf), /*block=*/false);
-      if (got > 0) {
-        reader_.Feed(buf, static_cast<size_t>(got));
-        continue;
-      }
-      if (got == 0) return CallStatus::kPending;
-      CloseFd();  // server gone: retry (re-park) on the next poll
-      return CallStatus::kPending;
     }
     ++transport_syscalls_;
     pollfd pfd{fd_, POLLIN, 0};

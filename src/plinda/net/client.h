@@ -1,9 +1,6 @@
 #ifndef FPDM_PLINDA_NET_CLIENT_H_
 #define FPDM_PLINDA_NET_CLIENT_H_
 
-#include <sys/types.h>
-#include <sys/uio.h>
-
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -11,15 +8,14 @@
 #include <string>
 #include <vector>
 
-#include "plinda/net/shm.h"
 #include "plinda/net/wire.h"
 #include "plinda/tuple.h"
 
 namespace fpdm::plinda::net {
 
 struct RemoteSpaceOptions {
-  /// Server endpoint: "unix:<path>", "tcp:<host>:<port>", or "shm:<path>"
-  /// (a bare string is a Unix-domain path — see plinda/net/endpoint.h).
+  /// Server endpoint: "unix:<path>" or "tcp:<host>:<port>" (a bare string
+  /// is a Unix-domain path — see plinda/net/endpoint.h).
   std::string endpoint;
   /// PLinda process id this client speaks for; -1 for control connections
   /// (the runtime supervisor), which skip registration and sequencing.
@@ -197,13 +193,9 @@ class RemoteTupleSpace {
   uint64_t bytes_received() const { return bytes_received_; }
   uint64_t batch_frames_sent() const { return batch_frames_sent_; }
   uint64_t batched_ops_sent() const { return batched_ops_sent_; }
-  /// Transport-touching syscalls this client has made: sends/reads/polls
-  /// on a socket transport; doorbell, futex, and liveness calls on shm
-  /// (where the steady state is syscall-free). Framed bytes moved both
-  /// directions are transport_bytes.
-  uint64_t transport_syscalls() const {
-    return transport_syscalls_ + (shm_ != nullptr ? shm_->syscalls() : 0);
-  }
+  /// Socket syscalls this client has made (sends, reads, polls). Framed
+  /// bytes moved both directions are transport_bytes.
+  uint64_t transport_syscalls() const { return transport_syscalls_; }
   uint64_t transport_bytes() const { return bytes_sent_ + bytes_received_; }
 
   const std::string& last_error() const { return last_error_; }
@@ -239,16 +231,8 @@ class RemoteTupleSpace {
   /// reconnects and retries); sets *wire_error on an undecodable reply
   /// (caller gives up — the stream is garbage).
   bool ReadReply(Reply* reply, bool* wire_error);
-  /// Transport-dispatching write primitives: plain socket writes, or (for
-  /// an established shm connection) blocking ring writes that futex-wait on
-  /// a full ring. All-or-fail: a live connection never ends up with a
-  /// partially written frame.
-  bool TransportWriteAll(const char* data, size_t n);
-  bool TransportWritev(std::vector<iovec> iov);
-  /// Ring read: >0 bytes copied into buf, 0 = would block (nonblocking
-  /// probes leave the reader armed so the next publish rings wake_fd,
-  /// which is what fd() pollers watch), -1 = connection dead and drained.
-  ssize_t ShmRecv(char* buf, size_t cap, bool block);
+  /// Blocking send of all n bytes on fd_; false on a transport failure.
+  bool SendAll(const char* data, size_t n);
   void BackoffSleep();
   void CloseFd();
   /// Writes the unwritten tail of pipeline_ in one gathered write (best
@@ -257,11 +241,6 @@ class RemoteTupleSpace {
 
   RemoteSpaceOptions options_;
   int fd_ = -1;
-  /// Established shm connection (endpoint kind kShm, registered clients
-  /// only). While set, fd_ is the doorbell eventfd — pollable for arrival,
-  /// but all bytes move through the rings. Control connections (pid < 0)
-  /// speak plain frames over the handshake socket instead.
-  std::unique_ptr<ShmConn> shm_;
   FrameReader reader_;
   uint64_t next_seq_ = 0;
   std::deque<PendingFrame> queued_;
@@ -282,8 +261,6 @@ class RemoteTupleSpace {
   uint64_t bytes_received_ = 0;
   uint64_t batch_frames_sent_ = 0;
   uint64_t batched_ops_sent_ = 0;
-  /// Socket syscalls plus the syscall tally of every torn-down ShmConn
-  /// (the live one's count rides in the transport_syscalls() accessor).
   uint64_t transport_syscalls_ = 0;
   std::string last_error_;
 };

@@ -71,21 +71,22 @@ bool ParseEndpoint(const std::string& text, Endpoint* endpoint,
     endpoint->path.clear();
     return true;
   }
-  // "shm:<path>": the path names the Unix-domain handshake socket.
-  if (text.rfind("shm:", 0) == 0) {
-    std::string path = text.substr(4);
-    if (path.empty()) {
-      return Fail(error, "bad endpoint \"" + text + "\": empty socket path");
-    }
-    endpoint->kind = Endpoint::Kind::kShm;
-    endpoint->path = std::move(path);
-    endpoint->host.clear();
-    endpoint->port = 0;
-    return true;
-  }
-  // "unix:<path>", or a bare path for backward compatibility.
+  // "unix:<path>", or a bare path for backward compatibility. A leading
+  // run of letters before a ':' is a scheme, and any scheme but "unix" is
+  // refused: read as a path, "udp:h:1" would bind a socket of that name.
+  constexpr char kLetters[] =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+  const size_t scheme_end = text.find_first_not_of(kLetters);
   std::string path = text;
-  if (text.rfind("unix:", 0) == 0) path = text.substr(5);
+  if (scheme_end != std::string::npos && scheme_end > 0 &&
+      text[scheme_end] == ':') {
+    const std::string scheme = text.substr(0, scheme_end);
+    if (scheme != "unix") {
+      return Fail(error, "bad endpoint \"" + text + "\": unknown scheme \"" +
+                             scheme + ":\" (expected unix: or tcp:)");
+    }
+    path = text.substr(scheme_end + 1);
+  }
   if (path.empty()) {
     return Fail(error, "bad endpoint \"" + text + "\": empty socket path");
   }
@@ -100,17 +101,13 @@ std::string FormatEndpoint(const Endpoint& endpoint) {
   if (endpoint.kind == Endpoint::Kind::kTcp) {
     return "tcp:" + endpoint.host + ":" + std::to_string(endpoint.port);
   }
-  if (endpoint.kind == Endpoint::Kind::kShm) {
-    return "shm:" + endpoint.path;
-  }
   return "unix:" + endpoint.path;
 }
 
 bool EndpointUsable(const std::string& text, std::string* error) {
   Endpoint endpoint;
   if (!ParseEndpoint(text, &endpoint, error)) return false;
-  if (endpoint.kind == Endpoint::Kind::kUnix ||
-      endpoint.kind == Endpoint::Kind::kShm) {
+  if (endpoint.kind == Endpoint::Kind::kUnix) {
     sockaddr_un addr;
     return FillUnixAddr(endpoint.path, &addr, error);
   }
@@ -124,10 +121,7 @@ void ApplyTcpSocketOptions(int fd) {
 }
 
 int ConnectEndpoint(const Endpoint& endpoint, std::string* error) {
-  // An shm endpoint connects like a Unix one: the path is its handshake
-  // socket. What flows over the fd afterwards differs, not the connect.
-  if (endpoint.kind == Endpoint::Kind::kUnix ||
-      endpoint.kind == Endpoint::Kind::kShm) {
+  if (endpoint.kind == Endpoint::Kind::kUnix) {
     sockaddr_un addr;
     if (!FillUnixAddr(endpoint.path, &addr, error)) return -1;
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -174,8 +168,7 @@ int ConnectEndpoint(const Endpoint& endpoint, std::string* error) {
 }
 
 int ListenEndpoint(Endpoint* endpoint, int backlog, std::string* error) {
-  if (endpoint->kind == Endpoint::Kind::kUnix ||
-      endpoint->kind == Endpoint::Kind::kShm) {
+  if (endpoint->kind == Endpoint::Kind::kUnix) {
     sockaddr_un addr;
     if (!FillUnixAddr(endpoint->path, &addr, error)) return -1;
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);

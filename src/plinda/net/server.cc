@@ -100,18 +100,6 @@ bool FlushCursor(int fd, std::string* buf, size_t* sent,
   return true;
 }
 
-/// Trims the flushed prefix of an outbuf exactly like FlushCursor does (the
-/// shm flush path advances the cursor by ring writes instead of write(2)).
-void TrimFlushed(std::string* buf, size_t* sent) {
-  if (*sent == buf->size()) {
-    buf->clear();
-    *sent = 0;
-  } else if (*sent > (1u << 20)) {
-    buf->erase(0, *sent);
-    *sent = 0;
-  }
-}
-
 /// writev() the whole iovec array, chunked to IOV_MAX, resuming partial
 /// writes. Mutates the array.
 bool WritevAll(int fd, std::vector<iovec>* iov) {
@@ -178,9 +166,7 @@ SpaceServer::~SpaceServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
-  for (auto& [fd, conn] : conns_) {
-    if (conn->fd_owned) ::close(fd);  // ShmConn dtors close their own fds
-  }
+  for (auto& [fd, conn] : conns_) ::close(fd);
   for (PeerLink& peer : peers_) {
     if (peer.fd >= 0) ::close(peer.fd);
   }
@@ -1980,21 +1966,7 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
     for (auto& [pid, txn] : coord_pending_) {
       if (txn.reply_fd == fd) txn.reply_fd = -1;
     }
-    Conn& dying = *dropped.back();
-    if (dying.shm != nullptr) {
-      // Close the rings now so a client blocked in a ring wait wakes
-      // immediately; the ShmConn destructor (at `dropped` scope exit)
-      // unmaps and closes the handshake socket + doorbells, and the
-      // epoll registrations vanish with the fds.
-      FoldShmSyscalls(dying);
-      dying.shm->Close();
-      FoldShmSyscalls(dying);
-    } else if (dying.shm_accept != nullptr) {
-      transport_syscalls_.fetch_add(dying.shm_accept->syscalls());
-      if (dying.fd_owned) ::close(fd);
-    } else if (dying.fd_owned) {
-      ::close(fd);
-    }
+    ::close(fd);
   }
   // Phase 2: a vanished client (no BYE) with an open transaction is a
   // crash: roll the transaction back so its tuples become visible again —
@@ -2390,18 +2362,11 @@ bool SpaceServer::DrainOutgoing(Conn& conn) {
 }
 
 bool SpaceServer::FlushConn(Conn& conn) {
-  if (conn.shm != nullptr) return FlushShmConn(conn);
   return FlushCursor(conn.fd, &conn.outbuf, &conn.outbuf_sent,
                      &transport_syscalls_, &transport_bytes_);
 }
 
 void SpaceServer::UpdateConnEvents(Conn& conn) {
-  // Shm connections never arm EPOLLOUT: the registered fd is a doorbell
-  // eventfd (always writable — arming would busy-loop the epoll), and
-  // ring-full backpressure is signalled by the armed writer flag instead:
-  // the client's next ring read rings our doorbell, whose read_ready pass
-  // re-requests the flush.
-  if (conn.shm != nullptr) return;
   const bool want_out = conn.outbuf_sent < conn.outbuf.size();
   if (want_out == conn.epoll_out || epoll_fd_ < 0) return;
   epoll_event ev{};
@@ -2409,97 +2374,6 @@ void SpaceServer::UpdateConnEvents(Conn& conn) {
   ev.data.fd = conn.fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
   conn.epoll_out = want_out;
-}
-
-void SpaceServer::FoldShmSyscalls(Conn& conn) {
-  if (conn.shm == nullptr) return;
-  const uint64_t total = conn.shm->syscalls();
-  if (total > conn.shm_sys_reported) {
-    transport_syscalls_.fetch_add(total - conn.shm_sys_reported);
-    conn.shm_sys_reported = total;
-  }
-}
-
-bool SpaceServer::ReadShmConn(Conn& conn) {
-  ShmConn& shm = *conn.shm;
-  shm.DrainWake();
-  bool wake_writer = false;
-  for (;;) {
-    char* dst = conn.reader.WriteBuffer(65536);
-    bool wake = false;
-    const size_t n = shm.in().TryRead(dst, 65536, &wake);
-    wake_writer = wake_writer || wake;
-    conn.reader.CommitWrite(n);
-    if (n > 0) {
-      transport_bytes_.fetch_add(n);
-      continue;
-    }
-    // Drained. Two-phase sleep handoff before going back to epoll: arm the
-    // reader flag, re-check, and only then trust the doorbell — a client
-    // publish after the arm sees the flag and rings our eventfd. Without
-    // this the client's steady-state writes (flag unarmed = no doorbell)
-    // would never wake the epoll loop.
-    shm.in().ArmReader();
-    if (shm.in().ReadAvailable() > 0) {
-      shm.in().DisarmReader();
-      continue;
-    }
-    break;
-  }
-  if (wake_writer) shm.WakePeer(/*data_on_out=*/false, /*space_on_in=*/true);
-  // The doorbell also rings when the client consumed s2c bytes while our
-  // writer flag was armed (ring-full backpressure): retry the flush.
-  if (conn.outbuf_sent < conn.outbuf.size()) RequestFlush(conn.fd);
-  bool dead = false;
-  // The handshake socket carries no data after setup — readable means EOF
-  // (peer death) or a protocol violation; either way the connection is done.
-  char probe[16];
-  const ssize_t r = ::read(conn.fd, probe, sizeof(probe));
-  transport_syscalls_.fetch_add(1);
-  if (r >= 0) dead = true;
-  if (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-    dead = true;
-  }
-  if (shm.closed() && shm.in().ReadAvailable() == 0) dead = true;
-  FoldShmSyscalls(conn);
-  return !dead;
-}
-
-bool SpaceServer::FlushShmConn(Conn& conn) {
-  ShmConn& shm = *conn.shm;
-  bool wake_reader = false;
-  bool ok = true;
-  while (conn.outbuf_sent < conn.outbuf.size()) {
-    bool wake = false;
-    const size_t w =
-        shm.out().TryWrite(conn.outbuf.data() + conn.outbuf_sent,
-                           conn.outbuf.size() - conn.outbuf_sent, &wake);
-    wake_reader = wake_reader || wake;
-    if (w > 0) {
-      conn.outbuf_sent += w;
-      transport_bytes_.fetch_add(w);
-      continue;
-    }
-    if (shm.out().closed()) {
-      ok = false;
-      break;
-    }
-    // Ring full: arm the writer flag and re-check (two-phase, so a consume
-    // between the check and the arm cannot be missed). If still full, leave
-    // the flag armed and return with bytes pending — the client's next
-    // TryRead sees the flag and rings our doorbell, and that read_ready
-    // pass calls RequestFlush to land back here. The shm mirror of EPOLLOUT.
-    shm.out().ArmWriter();
-    if (shm.out().WriteSpace() > 0 || shm.out().closed()) {
-      shm.out().DisarmWriter();
-      continue;
-    }
-    break;
-  }
-  if (wake_reader) shm.WakePeer(/*data_on_out=*/true, /*space_on_in=*/false);
-  TrimFlushed(&conn.outbuf, &conn.outbuf_sent);
-  FoldShmSyscalls(conn);
-  return ok;
 }
 
 void SpaceServer::WorkerLoop() {
@@ -2651,7 +2525,6 @@ int SpaceServer::Serve() {
     }
     ParseEndpoint(options_.endpoint, &listen_ep, nullptr);
     tcp_listener_ = listen_ep.kind == Endpoint::Kind::kTcp;
-    shm_listener_ = listen_ep.kind == Endpoint::Kind::kShm;
     if (options_.listen_fd >= 0) {
       // Supervisor-pre-bound socket (port-0 TCP): already listening; the
       // concrete port lives in the placement map, not in listen_ep.
@@ -2755,68 +2628,22 @@ int SpaceServer::Serve() {
       if (it == conns_.end()) continue;
       Conn& conn = *it->second;
       bool dead = false;
-      if (conn.shm_accept != nullptr) {
-        // Shm-listener first read: exactly ONE Step per EPOLLIN pass —
-        // level-triggered epoll re-fires while bytes remain, and a
-        // would-block kPending must not spin here.
-        std::string prefix;
-        ShmHandshake handshake;
-        std::string hs_error;
-        const ShmAcceptReader::Result res =
-            conn.shm_accept->Step(fd, &prefix, &handshake, &hs_error);
+      for (;;) {
+        char* dst = conn.reader.WriteBuffer(65536);
+        const ssize_t n = ::read(fd, dst, 65536);
         transport_syscalls_.fetch_add(1);
-        if (res == ShmAcceptReader::Result::kPending) continue;
-        if (res == ShmAcceptReader::Result::kClosed ||
-            res == ShmAcceptReader::Result::kError) {
-          defunct.insert(fd);
+        if (n > 0) {
+          conn.reader.CommitWrite(static_cast<size_t>(n));
+          transport_bytes_.fetch_add(static_cast<uint64_t>(n));
           continue;
         }
-        if (res == ShmAcceptReader::Result::kShm) {
-          conn.shm_accept.reset();
-          // ServerAccept consumes fd on success AND failure: from here on
-          // no teardown path may close it again.
-          conn.fd_owned = false;
-          std::string err;
-          conn.shm = ShmConn::ServerAccept(fd, handshake, &err);
-          if (conn.shm == nullptr) {
-            defunct.insert(fd);
-            continue;
-          }
-          // The doorbell eventfd joins epoll under the SAME data.fd as the
-          // handshake socket, so either one waking classifies as this
-          // connection; fall through into the ring drain below (the client
-          // may already have written HELLO without ringing).
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = fd;
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.shm->wake_fd(), &ev);
-          transport_syscalls_.fetch_add(1);
-        } else {  // kStream: plain framed protocol (peer link or probe)
-          transport_bytes_.fetch_add(prefix.size());
-          conn.reader.Feed(prefix.data(), prefix.size());
-          conn.shm_accept.reset();
+        conn.reader.CommitWrite(0);
+        if (n == 0) dead = true;
+        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+            errno != EINTR) {
+          dead = true;
         }
-      }
-      if (conn.shm != nullptr) {
-        dead = !ReadShmConn(conn);
-      } else {
-        for (;;) {
-          char* dst = conn.reader.WriteBuffer(65536);
-          const ssize_t n = ::read(fd, dst, 65536);
-          transport_syscalls_.fetch_add(1);
-          if (n > 0) {
-            conn.reader.CommitWrite(static_cast<size_t>(n));
-            transport_bytes_.fetch_add(static_cast<uint64_t>(n));
-            continue;
-          }
-          conn.reader.CommitWrite(0);
-          if (n == 0) dead = true;
-          if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-              errno != EINTR) {
-            dead = true;
-          }
-          break;
-        }
+        break;
       }
       if (Threaded()) {
         // Hand the reassembled frames to the connection's strand. The one
@@ -2899,11 +2726,6 @@ int SpaceServer::Serve() {
           if (tcp_listener_) ApplyTcpSocketOptions(fd);
           auto conn = std::make_unique<Conn>();
           conn->fd = fd;
-          if (shm_listener_) {
-            // First-read classification: a shm handshake, or plain frames
-            // (peer links and probes share the listener).
-            conn->shm_accept = std::make_unique<ShmAcceptReader>();
-          }
           epoll_event ev{};
           ev.events = EPOLLIN;
           ev.data.fd = fd;
@@ -3018,20 +2840,13 @@ int SpaceServer::Serve() {
   // even on a WAL failure: every released reply's entry was durable before
   // the release, so nothing unlogged can be acknowledged here.
   for (auto& [fd, conn] : conns_) {
-    if (conn->shm != nullptr) {
-      // Push what fits into the ring (the SHUTDOWN ack is tiny); clearing
-      // conns_ below runs the ShmConn destructor, whose Close() wakes the
-      // client and closes the handshake socket + doorbells.
-      FlushShmConn(*conn);
-      continue;
-    }
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
     if (conn->outbuf_sent < conn->outbuf.size()) {
       WriteAll(fd, conn->outbuf.data() + conn->outbuf_sent,
                conn->outbuf.size() - conn->outbuf_sent);
     }
-    if (conn->fd_owned) ::close(fd);
+    ::close(fd);
   }
   conns_.clear();
   ::close(listen_fd_);
@@ -3044,8 +2859,9 @@ int SpaceServer::Serve() {
   // pre-bound listener (listen_fd inheritance) must keep its path so a
   // restarted server is reachable at the same address.
   Endpoint ep;
-  if (options_.listen_fd < 0 && ParseEndpoint(options_.endpoint, &ep, nullptr) &&
-      (ep.kind == Endpoint::Kind::kUnix || ep.kind == Endpoint::Kind::kShm)) {
+  if (options_.listen_fd < 0 &&
+      ParseEndpoint(options_.endpoint, &ep, nullptr) &&
+      ep.kind == Endpoint::Kind::kUnix) {
     ::unlink(ep.path.c_str());
   }
   return wal_failed_ ? 1 : 0;

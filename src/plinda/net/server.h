@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "plinda/net/shm.h"
 #include "plinda/net/wire.h"
 #include "plinda/tuple.h"
 #include "plinda/tuple_space.h"
@@ -190,18 +189,6 @@ class SpaceServer {
     std::string outbuf;
     size_t outbuf_sent = 0;  // flushed prefix of outbuf (no front-erase)
     bool epoll_out = false;  // EPOLLOUT currently armed for this fd
-    /// False once fd's lifetime belongs elsewhere (an established ShmConn
-    /// owns its handshake socket; a failed ServerAccept already closed it):
-    /// every teardown path must then skip ::close(fd).
-    bool fd_owned = true;
-    /// Shm-listener conns only: the first-read state machine that decides
-    /// handshake vs plain framed stream, then the established ring pair.
-    /// While `shm` is set, fd is the handshake socket (liveness/teardown
-    /// only) and the doorbell eventfd is registered in epoll with
-    /// ev.data.fd = fd so both wake this connection.
-    std::unique_ptr<ShmAcceptReader> shm_accept;
-    std::unique_ptr<ShmConn> shm;
-    uint64_t shm_sys_reported = 0;  // shm->syscalls() already folded
     // --- written only on this connection's strand while it holds an
     // all-stripes StateLock (HELLO / BYE / peer ops are all full-scope), so
     // plain reads are safe both on the strand and under the full lock ---
@@ -507,21 +494,7 @@ class SpaceServer {
   /// advancing the sent-offset cursor. Returns false on a fatal error.
   bool FlushConn(Conn& conn);
   /// Arms / disarms EPOLLOUT to match whether conn has unflushed output.
-  /// No-op for shm connections: their doorbell eventfd is always writable,
-  /// and backpressure rides the ring's armed writer flag instead.
   void UpdateConnEvents(Conn& conn);
-  /// I/O thread, shm conns: drains the c2s ring into conn.reader's
-  /// zero-copy write buffer and checks the handshake socket for peer death.
-  /// Returns false when the connection is gone (drop it).
-  bool ReadShmConn(Conn& conn);
-  /// I/O thread, shm conns: pushes conn.outbuf into the s2c ring. On a full
-  /// ring, arms the writer flag and returns with bytes still pending — the
-  /// client's next ring read wakes our doorbell, which re-requests a flush.
-  /// Returns false when the connection is gone.
-  bool FlushShmConn(Conn& conn);
-  /// Folds conn.shm's syscall tally into transport_syscalls_ (delta since
-  /// the last fold, tracked by conn.shm_sys_reported). I/O thread only.
-  void FoldShmSyscalls(Conn& conn);
 
   SpaceServerOptions options_;
   /// The striped space: stripes_.size() == options_.num_shards, routed by
@@ -567,9 +540,6 @@ class SpaceServer {
   /// True while serving on a TCP endpoint: accepted sockets and outbound
   /// peer connects get TCP_NODELAY + SO_KEEPALIVE.
   bool tcp_listener_ = false;
-  /// True while serving on a shm endpoint: accepted sockets run the
-  /// ShmAcceptReader first-read state machine (handshake vs plain frames).
-  bool shm_listener_ = false;
   /// Atomic: bumped by AppendLog from any dispatch scope; workers check it
   /// after releasing their stripes and re-check under a full StateLock
   /// before checkpointing (the quiesce protocol — see TakeCheckpoint).
@@ -642,10 +612,9 @@ class SpaceServer {
   std::string wal_frame_buf_;  // single-threaded AppendLog frame reuse
   std::atomic<uint64_t> wal_group_commits_{0};
   std::atomic<uint64_t> wal_synced_bytes_{0};
-  /// Transport-level I/O counters, reported in STATS. Atomic because the
-  /// I/O thread updates them lock-free while workers read them under
-  /// state_mu_ — the shm pointers themselves are never touched off the I/O
-  /// thread (per-conn deltas are folded in via Conn::shm_sys_reported).
+  /// Transport-level I/O counters (read/write calls and bytes on client
+  /// and peer sockets), reported in STATS. Atomic because the I/O thread
+  /// bumps them while a worker strand encodes a STATS reply.
   std::atomic<uint64_t> transport_syscalls_{0};
   std::atomic<uint64_t> transport_bytes_{0};
 

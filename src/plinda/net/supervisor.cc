@@ -138,12 +138,10 @@ bool WaitForEndpoint(const std::string& endpoint_text, double timeout_s) {
   if (endpoint.kind == Endpoint::Kind::kUnix) {
     return WaitForSocket(endpoint.path, timeout_s);
   }
-  // TCP and shm: a bare connect only proves the *listener* exists — and
-  // with supervisor-pre-bound listeners it exists even while the server
-  // process is dead (the kernel queues connections in the backlog). Prove
-  // the server itself is serving with one control-HELLO round trip per
-  // attempt. On a shm listener the plain framed probe takes the kStream
-  // path — no ring handshake needed to be answered.
+  // TCP: a bare connect only proves the *listener* exists — and with
+  // supervisor-pre-bound listeners it exists even while the server process
+  // is dead (the kernel queues connections in the backlog). Prove the
+  // server itself is serving with one control-HELLO round trip per attempt.
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(timeout_s));

@@ -317,9 +317,8 @@ struct Reply {
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kStats: transport-level I/O — syscalls the server spent moving bytes
-  /// (read/write/sendmsg, shm futexes + doorbells) and payload bytes moved.
-  /// The shm transport's whole point shows up here: near-zero syscalls per
-  /// op in steady state.
+  /// (read/write/sendmsg on client and peer sockets) and payload bytes
+  /// moved.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
   /// kStats: striped-lock observability — times a worker found a stripe or

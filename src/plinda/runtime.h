@@ -148,15 +148,10 @@ struct RuntimeOptions {
   /// (default; sockets under distributed_dir), "tcp" (loopback TCP; the
   /// supervisor pre-binds every listener with port 0 before forking, so the
   /// placement map carries concrete "tcp:127.0.0.1:<port>" endpoints and
-  /// nothing races on port numbers), or "shm" (same-host shared-memory
-  /// rings: a tiny unix handshake socket per connection passes a memfd +
-  /// doorbell eventfds, then frames flow through mmap'd SPSC rings with
-  /// futex blocking — syscall-free in steady state; the supervisor
-  /// pre-binds the handshake listeners before forking, like tcp). Any
-  /// other value fails the run with a structured kBadEndpoint error. The
-  /// distributed test suites read FPDM_TEST_TRANSPORT into this option for
-  /// the CI transport matrix; the runtime itself never consults the
-  /// environment.
+  /// nothing races on port numbers). Any other value fails the run with a
+  /// structured kBadEndpoint error. The distributed test suites read
+  /// FPDM_TEST_TRANSPORT into this option for the CI transport matrix; the
+  /// runtime itself never consults the environment.
   std::string distributed_transport = "unix";
   /// kDistributed: command template for launching worker processes (empty =
   /// fork them locally, the default). `{endpoint}`, `{placement}`, `{pid}`,
@@ -304,10 +299,8 @@ struct RuntimeStats {
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kDistributed: transport-level I/O summed over the shard servers —
-  /// syscalls spent moving bytes (read/write/sendmsg; for the shm
-  /// transport, futex wakes + doorbell eventfd I/O) and payload bytes
-  /// moved. transport_syscalls / tuple ops is the per-op syscall cost the
-  /// shm transport exists to drive toward zero.
+  /// syscalls spent moving bytes (read/write/sendmsg) and payload bytes
+  /// moved. transport_syscalls / tuple ops is the per-op syscall cost.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
   /// kDistributed: striped-lock contention summed over the shard servers —

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -447,21 +448,19 @@ bool Runtime::RunDistributed() {
   };
   const std::string& transport = options_.distributed_transport;
   const bool tcp = transport == "tcp";
-  const bool shm = transport == "shm";
-  if (!tcp && !shm && transport != "unix") {
+  if (!tcp && transport != "unix") {
     return fail_structured(
         RuntimeError::Code::kBadEndpoint,
         "unsupported distributed_transport \"" + transport +
-            "\" (expected \"unix\", \"tcp\" or \"shm\")");
+            "\" (expected \"unix\" or \"tcp\")");
   }
   std::vector<std::string> placement;
   placement.reserve(static_cast<size_t>(num_servers));
-  // TCP and shm: pre-bound listeners, inherited through fork (FD_CLOEXEC
-  // keeps them out of exec'ed launch-template commands). Bound BEFORE any
-  // fork so the placement map is concrete from the first HELLO, and kept
-  // open in the supervisor so a chaos restart re-inherits the same
-  // listener — for TCP that preserves the port-0 port, for shm the
-  // handshake-socket path stays bound across the restart.
+  // TCP: pre-bound listeners, inherited through fork (FD_CLOEXEC keeps
+  // them out of exec'ed launch-template commands). Bound BEFORE any fork so
+  // the placement map is concrete from the first HELLO, and kept open in
+  // the supervisor so a chaos restart re-inherits the same listener and
+  // its port-0 port.
   std::vector<int> listen_fds(static_cast<size_t>(num_servers), -1);
   auto close_listeners = [&] {
     for (int& fd : listen_fds) {
@@ -502,24 +501,7 @@ bool Runtime::RunDistributed() {
                 "RuntimeOptions::distributed_dir (or $TMPDIR) at a "
                 "shorter path");
       }
-      placement.push_back(shm ? "shm:" + path : path);
-    }
-    if (shm) {
-      for (int k = 0; k < num_servers; ++k) {
-        net::Endpoint ep;
-        net::ParseEndpoint(placement[static_cast<size_t>(k)], &ep, nullptr);
-        std::string error;
-        const int fd = net::ListenEndpoint(&ep, net::kListenBacklog, &error);
-        if (fd < 0) {
-          close_listeners();
-          return fail_structured(
-              RuntimeError::Code::kBadEndpoint,
-              "cannot bind a shm handshake listener for server " +
-                  std::to_string(k) + ": " + error);
-        }
-        ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-        listen_fds[static_cast<size_t>(k)] = fd;
-      }
+      placement.push_back(path);
     }
   }
   dist_socket_ = placement[0];
@@ -1171,29 +1153,54 @@ bool Runtime::RunDistributed() {
       RecordLocked(TraceEvent::Kind::kServerRecovered, now(), nullptr, -1);
     }
   }
+  // Likewise heal any link cut still in force (its heal was scheduled after
+  // the last worker finished): a partitioned server holds back its own
+  // forwards and blackholes every peer's forwards to it, so the barrier
+  // below would wait on traffic that can never move.
+  for (int k = 0; k < num_servers && !server_fatal_exit; ++k) {
+    if (!server_partitioned[static_cast<size_t>(k)]) continue;
+    server_partitioned[static_cast<size_t>(k)] = false;
+    if (!server_ok[static_cast<size_t>(k)]) continue;
+    chaos_partition(k, false);
+    RecordLocked(TraceEvent::Kind::kServerHealed, now(), nullptr, -1);
+  }
   if (all_servers_up()) {
     if (num_servers > 1) {
       // Forward-drain barrier: commit outs can still be in flight between
       // servers (Op::kForward). Harvesting before they land would lose
       // them, so poll STATUS until every server reports zero pending
-      // forwards.
-      const auto barrier_deadline =
-          Clock::now() + std::chrono::milliseconds(5000);
+      // forwards. The deadline waits on progress, not on a fixed time: it
+      // restarts whenever the summed pending count reaches a new low, so a
+      // loaded host that drains slowly still drains, and only a fleet
+      // stuck for the whole window fails — naming each server's count.
+      constexpr auto kBarrierWindow = std::chrono::milliseconds(5000);
+      auto barrier_deadline = Clock::now() + kBarrierWindow;
+      uint64_t lowest_pending = std::numeric_limits<uint64_t>::max();
+      std::string counts;  // each server's count in the latest poll
       for (;;) {
         uint64_t pending = 0;
         bool polled = true;
+        counts.clear();
         for (int k = 0; k < num_servers; ++k) {
           net::Reply reply;
-          if (ctls[static_cast<size_t>(k)]->Status(&reply) !=
-              CallStatus::kOk) {
-            polled = false;
-            break;
-          }
-          pending += reply.forwards_pending;
+          net::RemoteTupleSpace& ctl = *ctls[static_cast<size_t>(k)];
+          const bool ok = ctl.Status(&reply) == CallStatus::kOk;
+          if (k > 0) counts += ", ";
+          counts += "server " + std::to_string(k) + "=";
+          counts += ok ? std::to_string(reply.forwards_pending) : "unreachable";
+          polled = polled && ok;
+          if (ok) pending += reply.forwards_pending;
         }
         if (polled && pending == 0) break;
+        if (polled && pending < lowest_pending) {
+          lowest_pending = pending;
+          barrier_deadline = Clock::now() + kBarrierWindow;
+        }
         if (Clock::now() >= barrier_deadline) {
-          fail_run("forwarded commits did not quiesce before the harvest");
+          std::string message =
+              "forwarded commits did not quiesce before the harvest";
+          message += " (pending forwards: " + counts + ")";
+          fail_run(message);
           break;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -17,8 +17,10 @@
 #include "core/parallel.h"
 #include "gtest/gtest.h"
 #include "plinda/chaos.h"
+#include "plinda/net/wire.h"
 #include "plinda/runtime.h"
 #include "plinda/tuple.h"
+#include "plinda/tuple_space.h"
 
 namespace fpdm {
 namespace {
@@ -46,8 +48,8 @@ int TestServers() {
   return n > 0 ? n : 1;
 }
 
-/// Wire transport: FPDM_TEST_TRANSPORT in the environment ("unix", "tcp"
-/// or "shm"; CI re-runs the whole suite at tcp and at shm), default unix.
+/// Wire transport: FPDM_TEST_TRANSPORT in the environment ("unix" or "tcp";
+/// CI re-runs the whole suite at tcp), default unix.
 std::string TestTransport() {
   const char* env = std::getenv("FPDM_TEST_TRANSPORT");
   if (env == nullptr || *env == '\0') return "unix";
@@ -481,6 +483,41 @@ TEST(DistributedChaosTest, PartitionedShardBlackholesPeerLegsUntilHeal) {
   EXPECT_EQ(runtime.stats().server_partitions, 1u);
   ExpectExactlyOnceResults(runtime);
   EXPECT_GE(runtime.stats().dist_txn_cross_server, 1u);
+}
+
+TEST(DistributedChaosTest, PartitionStillInForceAtTheEndIsHealedForHarvest) {
+  // The heal lies far beyond the end of the run, so when the worker exits
+  // the outs its commits forwarded to the cut server are still queued on
+  // their home server. The end-of-run drain must heal the link before its
+  // forward barrier: left cut, those forwards can never land, and the
+  // barrier fails the run however long it waits.
+  const size_t job_home = plinda::net::PlacementIndex(
+      plinda::BucketKeyFor(MakeTuple("job", int64_t{0})), 3);
+  const size_t res_home = plinda::net::PlacementIndex(
+      plinda::BucketKeyFor(MakeTuple("res", int64_t{0})), 3);
+  ASSERT_NE(job_home, res_home) << "the res outs must be forwarded";
+  Runtime runtime(1, DistOptions(/*servers=*/3));
+  runtime.ScheduleServerPartition(0.2, static_cast<int>(res_home));
+  runtime.ScheduleServerHeal(60.0, static_cast<int>(res_home));
+  for (int64_t i = 0; i < kNumTasks; ++i) {
+    runtime.space().Out(MakeTuple("job", i));
+  }
+  runtime.SpawnOn("worker", 0, [](ProcessContext& ctx) {
+    // Commit only once the cut is in force. Every commit binds to the
+    // job server, so none touches the cut one (no XRecover either: its
+    // scatter would stall there until the heal).
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    for (int64_t done = 0; done < kNumTasks; ++done) {
+      ctx.XStart();
+      Tuple job;
+      ctx.In(MakeTemplate(A("job"), F(ValueType::kInt)), &job);
+      ctx.Out(MakeTuple("res", GetInt(job, 1)));
+      ctx.XCommit();
+    }
+  });
+  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
+  EXPECT_EQ(runtime.stats().server_partitions, 1u);
+  ExpectExactlyOnceResults(runtime);
 }
 
 TEST(DistributedChaosTest, PartitionChaosSuiteConvergesExactlyOnce) {
