@@ -159,9 +159,9 @@ void FillWireCounters(benchmark::State& state,
       static_cast<double>(stats.dist_txn_prepares);
   state.counters["txn_cross_server"] =
       static_cast<double>(stats.dist_txn_cross_server);
-  // Group-commit WAL observability: batches written and bytes made durable,
-  // summed over the shard servers. synced_bytes / group_commits is the mean
-  // batch size; single-threaded rows write one entry per batch.
+  // Group-commit WAL observability: group commits and the bytes they
+  // covered, summed over the shard servers. sync:process rows count one
+  // group per append; on sync:host rows one group is one fdatasync.
   state.counters["wal_group_commits"] =
       static_cast<double>(stats.wal_group_commits);
   state.counters["wal_synced_bytes"] =
@@ -175,15 +175,16 @@ void FillWireCounters(benchmark::State& state,
       static_cast<double>(stats.transport_bytes);
 }
 
-void RunScalingDistributedApriori(benchmark::State& state, bool batching,
-                                  int servers) {
+void RunScalingDistributedApriori(benchmark::State& state, int workers,
+                                  bool batching, int servers, bool wal_sync) {
   const arm::ItemsetProblem problem = DistributedAprioriProblem();
   core::ParallelOptions options;
   options.strategy = core::Strategy::kLoadBalanced;
   options.execution_mode = plinda::ExecutionMode::kDistributed;
-  options.num_workers = static_cast<int>(state.range(0));
+  options.num_workers = workers;
   options.runtime.distributed_batching = batching;
   options.runtime.distributed_servers = servers;
+  options.runtime.distributed_wal_sync = wal_sync;
   core::ParallelResult result;
   for (auto _ : state) {
     result = core::MineParallel(problem, options);
@@ -213,29 +214,48 @@ void RunScalingDistributedApriori(benchmark::State& state, bool batching,
                 static_cast<double>(result.stats.dist_scatter_ops);
 }
 
-// Arg 0 sweeps the worker fleet against one server; arg 1 then sweeps the
-// shard-server count at the largest fleet — the single-threaded server
-// poll loop is the ceiling the 2- and 4-server rows exist to lift.
-void BM_ScalingDistributedApriori(benchmark::State& state) {
-  RunScalingDistributedApriori(state, /*batching=*/true,
-                               static_cast<int>(state.range(1)));
+// Row-name suffix for a distributed row's WAL durability contract (see
+// RuntimeOptions::distributed_wal_sync): "sync:process" survives SIGKILL of
+// a server, "sync:host" adds one fdatasync per serve-loop pass.
+std::string SyncSuffix(bool wal_sync) {
+  return wal_sync ? "/sync:host" : "/sync:process";
 }
-BENCHMARK(BM_ScalingDistributedApriori)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Iterations(2)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+
+// BM_ScalingDistributedApriori/<workers>/<servers>/sync:<mode>. The rows
+// sweep the worker fleet against one server, then the shard-server count
+// at the largest fleet — one server's event loop is the ceiling the 2- and
+// 4-server rows exist to lift. The 4/1 row also runs at sync:host, which
+// prices the fdatasync per loop pass on the same workload.
+const bool kDistributedAprioriRows = [] {
+  struct Row {
+    int workers;
+    int servers;
+    bool wal_sync;
+  };
+  for (const Row& row : {Row{1, 1, false}, Row{2, 1, false}, Row{4, 1, false},
+                         Row{4, 1, true}, Row{4, 2, false}, Row{4, 4, false}}) {
+    const std::string name = "BM_ScalingDistributedApriori/" +
+                             std::to_string(row.workers) + "/" +
+                             std::to_string(row.servers) +
+                             SyncSuffix(row.wal_sync);
+    benchmark::RegisterBenchmark(name.c_str(), RunScalingDistributedApriori,
+                                 row.workers, /*batching=*/true, row.servers,
+                                 row.wal_sync)
+        ->Iterations(2)
+        ->UseRealTime()
+        ->Unit(benchmark::kMillisecond);
+  }
+  return true;
+}();
 
 // The identical workload with write coalescing and frame deferral off —
 // every call is its own round trip, as before the batching layer. The
 // rpc_calls ratio against BM_ScalingDistributedApriori at the same worker
 // count is the protocol-level win, decoupled from wall-clock noise.
 void BM_ScalingDistributedAprioriUnbatched(benchmark::State& state) {
-  RunScalingDistributedApriori(state, /*batching=*/false, /*servers=*/1);
+  RunScalingDistributedApriori(state, static_cast<int>(state.range(0)),
+                               /*batching=*/false, /*servers=*/1,
+                               /*wal_sync=*/false);
 }
 BENCHMARK(BM_ScalingDistributedAprioriUnbatched)
     ->Arg(1)
@@ -295,22 +315,20 @@ BENCHMARK(BM_ScatterGatherDistributed)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Saturating multi-client server hot path (the threaded-serve gate): N
-// client threads hammer ONE shard server, each flushing pipelined
-// 32-out + 32-take bursts — one wire round trip per burst. Rows sweep
-// (clients, server threads); the {8,4} vs {8,1} items/s ratio is the win
-// of the epoll I/O thread + strand workers + group-commit WAL over the
-// single-threaded serve loop on the same protocol. p99 burst latency (µs)
-// rides along so a throughput win bought with a latency collapse shows up.
+// Saturating multi-client server hot path: N client threads hammer ONE
+// shard server, each flushing pipelined 32-out + 32-take bursts — one wire
+// round trip per burst. Rows are <clients>/sync:<mode>: the sync:host rows
+// show how well one fdatasync per serve-loop pass groups the clients'
+// appends (wal_group_commits against the bursts served). p99 burst latency
+// (µs) rides along so a throughput win bought with a latency collapse
+// shows up.
 enum class SaturationTransport { kUnix, kTcp };
 
 void ServerSaturationImpl(benchmark::State& state,
-                          SaturationTransport transport,
-                          int num_stripes = 1) {
+                          SaturationTransport transport, int clients,
+                          bool wal_sync) {
   using namespace plinda;
   const bool tcp = transport == SaturationTransport::kTcp;
-  const int clients = static_cast<int>(state.range(0));
-  const int server_threads = static_cast<int>(state.range(1));
   constexpr int kBurst = 32;   // outs per burst, and then as many takes
   constexpr int kRounds = 48;  // bursts per client per iteration
   const std::string dir = net::MakeStateDir();
@@ -319,8 +337,7 @@ void ServerSaturationImpl(benchmark::State& state,
   sopts.endpoint = tcp ? "tcp:127.0.0.1:0" : endpoint;
   if (tcp) sopts.resolved_endpoint_file = dir + "/endpoint";
   sopts.state_dir = dir + "/state";
-  sopts.threads = server_threads;
-  sopts.num_shards = num_stripes;
+  sopts.wal_sync = wal_sync;
   const pid_t server_pid = net::ForkServerProcess(sopts);
   if (server_pid <= 0) {
     state.SkipWithError("server start failed");
@@ -411,14 +428,6 @@ void ServerSaturationImpl(benchmark::State& state,
           static_cast<double>(stats.transport_syscalls);
       state.counters["transport_bytes"] =
           static_cast<double>(stats.transport_bytes);
-      // Striped-lock contention: waits on a contended stripe/control mutex
-      // and fast-path escalations/collisions on the all-stripes scope. Both
-      // are 0 by construction on single-stripe or single-thread rows.
-      state.counters["state_lock_waits"] =
-          static_cast<double>(stats.state_lock_waits);
-      state.counters["stripe_conflicts"] =
-          static_cast<double>(stats.stripe_conflicts);
-      state.counters["stripes"] = static_cast<double>(stats.stripes);
     }
     ctl.Bye();
   }
@@ -434,50 +443,38 @@ void ServerSaturationImpl(benchmark::State& state,
           : latencies_us[std::min(latencies_us.size() - 1,
                                   latencies_us.size() * 99 / 100)];
   state.counters["clients"] = static_cast<double>(clients);
-  state.counters["server_threads"] = static_cast<double>(server_threads);
 }
 
-void BM_ServerSaturation(benchmark::State& state) {
-  ServerSaturationImpl(state, SaturationTransport::kUnix);
-}
-BENCHMARK(BM_ServerSaturation)
-    ->Args({1, 1})
-    ->Args({8, 1})
-    ->Args({8, 4})
-    ->Iterations(3)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The striped apply path under the same saturation load: 8 stripes, so the
-// per-client keys ("w0".."w7") hash to mostly-distinct stripes and the
-// worker pool applies independent bursts in parallel instead of convoying
-// on one state lock. The {8,4} items/s ratio against the matching
-// single-stripe BM_ServerSaturation row is the tentpole win on a multicore
-// host; on a single-core host the row documents the (flat) curve and its
-// stripe_conflicts / state_lock_waits counters still prove the fast path
-// engaged.
-void BM_ServerSaturationStriped(benchmark::State& state) {
-  ServerSaturationImpl(state, SaturationTransport::kUnix, /*num_stripes=*/8);
-}
-BENCHMARK(BM_ServerSaturationStriped)
-    ->Args({8, 1})
-    ->Args({8, 4})
-    ->Iterations(3)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The transport axis: the same saturation workload over loopback TCP. The
-// delta against the matching BM_ServerSaturation rows is pure transport
-// cost; the {8,4} row doubles as the multi-client TCP soak.
-void BM_ServerSaturationTcp(benchmark::State& state) {
-  ServerSaturationImpl(state, SaturationTransport::kTcp);
-}
-BENCHMARK(BM_ServerSaturationTcp)
-    ->Args({1, 1})
-    ->Args({8, 4})
-    ->Iterations(3)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+// BM_ServerSaturation/<clients>/sync:<mode> over a Unix-domain socket,
+// and BM_ServerSaturationTcp, the same workload over loopback TCP: its
+// delta against the matching unix row is pure transport cost, and its
+// 8-client row doubles as the multi-client TCP soak.
+const bool kServerSaturationRows = [] {
+  struct Row {
+    const char* family;
+    SaturationTransport transport;
+    int clients;
+    bool wal_sync;
+  };
+  const SaturationTransport uds = SaturationTransport::kUnix;
+  const SaturationTransport tcp = SaturationTransport::kTcp;
+  for (const Row& row : {Row{"BM_ServerSaturation", uds, 1, false},
+                         Row{"BM_ServerSaturation", uds, 1, true},
+                         Row{"BM_ServerSaturation", uds, 8, false},
+                         Row{"BM_ServerSaturation", uds, 8, true},
+                         Row{"BM_ServerSaturationTcp", tcp, 1, false},
+                         Row{"BM_ServerSaturationTcp", tcp, 8, false}}) {
+    const std::string name = std::string(row.family) + "/" +
+                             std::to_string(row.clients) +
+                             SyncSuffix(row.wal_sync);
+    benchmark::RegisterBenchmark(name.c_str(), ServerSaturationImpl,
+                                 row.transport, row.clients, row.wal_sync)
+        ->Iterations(3)
+        ->UseRealTime()
+        ->Unit(benchmark::kMillisecond);
+  }
+  return true;
+}();
 
 // NyuMiner-CV (§6.1.1): one auxiliary tree per fold, grown concurrently by
 // the workers while the master grows the main tree.

@@ -2,20 +2,15 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <limits.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cassert>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -25,10 +20,11 @@ namespace fpdm::plinda::net {
 
 namespace {
 
-// v5: binary tuple codec and Checksum64 (v4 added 2PC state — typed peer
-// messages, coordinator/participant transaction tables, decision outcomes,
-// txn counters; v3 continuation stamps + per-peer forward queues).
-constexpr std::string_view kSnapshotMagic = "fpdmsrv5:";
+// v6: one tuple space, no stripe count or cross-stripe counter (v5 binary
+// tuple codec and Checksum64; v4 2PC state — typed peer messages,
+// coordinator/participant transaction tables, decision outcomes, txn
+// counters; v3 continuation stamps + per-peer forward queues).
+constexpr std::string_view kSnapshotMagic = "fpdmsrv6:";
 
 /// An all-actuals template matching exactly one tuple value. Replaying an
 /// IN log entry removes the oldest tuple equal to the logged one, which is
@@ -74,16 +70,15 @@ bool SetNonBlocking(int fd) {
 /// multi-MiB buffer dribbling out through short writes). A fully flushed
 /// buffer resets; a large flushed prefix is trimmed once so a slow receiver
 /// doesn't pin already-sent megabytes. Returns false on a fatal error.
-/// Counts write(2) calls / bytes into the optional transport counters.
-bool FlushCursor(int fd, std::string* buf, size_t* sent,
-                 std::atomic<uint64_t>* syscalls = nullptr,
-                 std::atomic<uint64_t>* bytes = nullptr) {
+/// Counts write(2) calls / bytes into the transport counters.
+bool FlushCursor(int fd, std::string* buf, size_t* sent, uint64_t* syscalls,
+                 uint64_t* bytes) {
   while (*sent < buf->size()) {
-    if (syscalls != nullptr) syscalls->fetch_add(1);
+    ++*syscalls;
     const ssize_t n = ::write(fd, buf->data() + *sent, buf->size() - *sent);
     if (n > 0) {
       *sent += static_cast<size_t>(n);
-      if (bytes != nullptr) bytes->fetch_add(static_cast<uint64_t>(n));
+      *bytes += static_cast<uint64_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -100,31 +95,6 @@ bool FlushCursor(int fd, std::string* buf, size_t* sent,
   return true;
 }
 
-/// writev() the whole iovec array, chunked to IOV_MAX, resuming partial
-/// writes. Mutates the array.
-bool WritevAll(int fd, std::vector<iovec>* iov) {
-  size_t idx = 0;
-  while (idx < iov->size()) {
-    const int cnt = static_cast<int>(
-        std::min(iov->size() - idx, static_cast<size_t>(IOV_MAX)));
-    const ssize_t n = ::writev(fd, iov->data() + idx, cnt);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    size_t left = static_cast<size_t>(n);
-    while (idx < iov->size() && left >= (*iov)[idx].iov_len) {
-      left -= (*iov)[idx].iov_len;
-      ++idx;
-    }
-    if (left > 0) {
-      (*iov)[idx].iov_base = static_cast<char*>((*iov)[idx].iov_base) + left;
-      (*iov)[idx].iov_len -= left;
-    }
-  }
-  return true;
-}
-
 void ApplySndbuf(int fd, int sndbuf_bytes) {
   if (sndbuf_bytes <= 0) return;
   ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf_bytes, sizeof(sndbuf_bytes));
@@ -134,7 +104,6 @@ void ApplySndbuf(int fd, int sndbuf_bytes) {
 
 SpaceServer::SpaceServer(SpaceServerOptions options)
     : options_(std::move(options)) {
-  if (options_.num_shards < 1) options_.num_shards = 1;
   if (options_.checkpoint_every_ops < 1) options_.checkpoint_every_ops = 1;
   placement_ = options_.placement.empty()
                    ? std::vector<std::string>{options_.endpoint}
@@ -144,217 +113,38 @@ SpaceServer::SpaceServer(SpaceServerOptions options)
     options_.server_index = 0;
   }
   peers_.resize(placement_.size());
-  int threads = options_.threads;
-  if (threads <= 0) {
-    if (const char* env = std::getenv("FPDM_SERVER_THREADS")) {
-      threads = std::atoi(env);
-    }
-  }
-  if (threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw >= 2 ? static_cast<int>(std::min(4u, hw)) : 1;
-  }
-  threads_ = threads;
-  wal_sync_ = options_.wal_sync;
-  if (const char* env = std::getenv("FPDM_WAL_SYNC")) {
-    wal_sync_ = std::atoi(env) != 0;
-  }
 }
 
 SpaceServer::~SpaceServer() {
   if (log_fd_ >= 0) ::close(log_fd_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
   for (auto& [fd, conn] : conns_) ::close(fd);
   for (PeerLink& peer : peers_) {
     if (peer.fd >= 0) ::close(peer.fd);
   }
 }
 
-// --- striped space --------------------------------------------------------
-
-size_t SpaceServer::ShardIndexFor(const BucketKeyView& key) const {
-  // Deterministic across restarts (unlike std::hash), so a recovered server
-  // routes every tuple to the stripe its checkpoint put it in. Shared with
-  // PlacementIndex and ShardedTupleSpace (tuple_space.h).
-  return BucketStripeIndex(key, stripes_.size());
-}
-
-bool SpaceServer::FindMatch(const Template& tmpl, Tuple* result, bool remove) {
-  BucketKeyView key;
-  if (SingleBucketKeyFor(tmpl, &key)) {
-    TupleSpace& space = stripes_[ShardIndexFor(key)]->space;
-    return remove ? space.TryIn(tmpl, result) : space.TryRd(tmpl, result);
-  }
-  // Formal-string-first template: scan stripes in index order. The caller
-  // holds the full scope (ComputeScope never fast-paths formal templates).
-  // With one stripe (the default) matching is exactly global-FIFO; with
-  // more, FIFO holds within each stripe only.
-  if (stripes_.size() > 1) {
-    cross_shard_ops_.fetch_add(1, std::memory_order_relaxed);
-  }
-  for (auto& stripe : stripes_) {
-    TupleSpace& space = stripe->space;
-    if (remove ? space.TryIn(tmpl, result) : space.TryRd(tmpl, result)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-size_t SpaceServer::CountAcrossShards(const Template& tmpl) {
-  BucketKeyView key;
-  if (SingleBucketKeyFor(tmpl, &key)) {
-    return stripes_[ShardIndexFor(key)]->space.CountMatches(tmpl);
-  }
-  if (stripes_.size() > 1) {
-    cross_shard_ops_.fetch_add(1, std::memory_order_relaxed);
-  }
-  size_t count = 0;
-  for (const auto& stripe : stripes_) count += stripe->space.CountMatches(tmpl);
-  return count;
-}
-
 void SpaceServer::PublishTuple(Tuple tuple) {
-  const BucketKeyView key = BucketKeyFor(tuple);
-  stripes_[ShardIndexFor(key)]->space.Out(std::move(tuple));
-  publish_epoch_.fetch_add(1, std::memory_order_relaxed);
-}
-
-// --- striped state locking -------------------------------------------------
-
-namespace {
-// Debug lock-order bookkeeping: a thread holds at most one StateLock, and
-// control-plane methods can assert they are running under the full scope.
-#ifndef NDEBUG
-thread_local bool tls_scope_held = false;
-thread_local bool tls_full_scope_held = false;
-#endif
-// A fast-path dispatch (partial stripe scope) defers waiter wakeups to an
-// escalation pass after its stripes are released; see SatisfyWaiters.
-thread_local bool tls_partial_scope = false;
-thread_local bool tls_satisfy_deferred = false;
-}  // namespace
-
-void SpaceServer::StateLock::LockCounting(std::mutex& mu) {
-  if (mu.try_lock()) return;
-  server_->state_lock_waits_.fetch_add(1, std::memory_order_relaxed);
-  mu.lock();
-}
-
-SpaceServer::StateLock::StateLock(SpaceServer* server)
-    : server_(server), engaged_(server->live_threaded_), all_(true) {
-  if (!engaged_) return;
-#ifndef NDEBUG
-  assert(!tls_scope_held);
-  tls_scope_held = true;
-  tls_full_scope_held = true;
-#endif
-  for (auto& stripe : server_->stripes_) LockCounting(stripe->mu);
-  LockCounting(server_->ctrl_mu_);
-}
-
-SpaceServer::StateLock::StateLock(SpaceServer* server,
-                                  const std::vector<size_t>& stripe_indices)
-    : server_(server), engaged_(server->live_threaded_), all_(false),
-      subset_(stripe_indices) {
-  if (!engaged_) return;
-#ifndef NDEBUG
-  assert(!tls_scope_held);
-  assert(std::is_sorted(subset_.begin(), subset_.end()));
-  tls_scope_held = true;
-#endif
-  for (size_t i : subset_) LockCounting(server_->stripes_[i]->mu);
-}
-
-SpaceServer::StateLock::~StateLock() {
-  if (!engaged_) return;
-  if (all_) {
-    server_->ctrl_mu_.unlock();
-    for (auto it = server_->stripes_.rbegin(); it != server_->stripes_.rend();
-         ++it) {
-      (*it)->mu.unlock();
-    }
-  } else {
-    for (auto it = subset_.rbegin(); it != subset_.rend(); ++it) {
-      server_->stripes_[*it]->mu.unlock();
-    }
-  }
-#ifndef NDEBUG
-  tls_scope_held = false;
-  tls_full_scope_held = false;
-#endif
-}
-
-bool SpaceServer::ComputeScope(const Request& request, bool decode_ok,
-                               std::vector<size_t>* stripes) const {
-  if (!decode_ok || stripes_.size() <= 1) return false;
-  // While partitioned (or cancelled) every dispatch runs the blackhole /
-  // cancel gates, which may touch connection-drop state — keep them on the
-  // full scope where the I/O thread expects them.
-  if (partitioned_.load(std::memory_order_relaxed)) return false;
-  stripes->clear();
-  auto add = [&](const BucketKeyView& key) {
-    stripes->push_back(ShardIndexFor(key));
-  };
-  switch (request.op) {
-    case Op::kOut:
-      add(BucketKeyFor(request.tuple));
-      break;
-    case Op::kIn: {
-      BucketKeyView key;
-      if (!SingleBucketKeyFor(request.tmpl, &key)) return false;
-      add(key);
-      break;
-    }
-    case Op::kCount: {
-      BucketKeyView key;
-      if (!SingleBucketKeyFor(request.tmpl, &key)) return false;
-      add(key);
-      break;
-    }
-    case Op::kBatch: {
-      for (const BatchOp& sub : request.batch) {
-        if (sub.op == Op::kOut) {
-          add(BucketKeyFor(sub.tuple));
-        } else if (sub.op == Op::kIn) {
-          BucketKeyView key;
-          if (!SingleBucketKeyFor(sub.tmpl, &key)) return false;
-          add(key);
-        } else {
-          return false;  // malformed sub-op: let the full path reject it
-        }
-      }
-      break;
-    }
-    default:
-      return false;  // control-plane / 2PC / formal / stats: full scope
-  }
-  std::sort(stripes->begin(), stripes->end());
-  stripes->erase(std::unique(stripes->begin(), stripes->end()),
-                 stripes->end());
-  return true;
+  space_.Out(std::move(tuple));
+  ++publish_epoch_;
 }
 
 // --- log + checkpoint -----------------------------------------------------
 
 std::string SpaceServer::EncodeSnapshot() const {
   // Layout: magic, [u32 payload len][u64 Checksum64 of the payload], then
-  // the payload. The header is reserved and patched at the end, and every
-  // stripe checkpoint is encoded in place behind its own patched length, so
+  // the payload. The header is reserved and patched at the end, and the
+  // space checkpoint is encoded in place behind its own patched length, so
   // each snapshot byte is written once.
   std::string out(kSnapshotMagic);
   const size_t header_pos = out.size();
   out.append(12, '\0');
   PutU64(epoch_, &out);
-  PutU32(static_cast<uint32_t>(stripes_.size()), &out);
-  for (const auto& stripe : stripes_) {
-    const size_t len_pos = out.size();
-    PutU32(0, &out);
-    stripe->space.CheckpointInto(&out);
-    PatchU32(static_cast<uint32_t>(out.size() - len_pos - 4), len_pos, &out);
-  }
+  const size_t len_pos = out.size();
+  PutU32(0, &out);
+  space_.CheckpointInto(&out);
+  PatchU32(static_cast<uint32_t>(out.size() - len_pos - 4), len_pos, &out);
   PutU32(static_cast<uint32_t>(continuations_.size()), &out);
   for (const auto& [pid, cont] : continuations_) {
     PutI32(pid, &out);
@@ -380,7 +170,6 @@ std::string SpaceServer::EncodeSnapshot() const {
   PutU64(commits_, &out);
   PutU64(aborts_, &out);
   PutU64(checkpoints_, &out);
-  PutU64(cross_shard_ops_, &out);
   PutU64(batch_frames_, &out);
   PutU64(batched_ops_, &out);
   // Peer forward state: fseq counters, unacked queues, and watermarks.
@@ -466,17 +255,9 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
   if (Checksum64(payload) != want_hash) return false;
 
   ByteReader r{payload};
-  uint32_t num_shards = 0;
-  if (!r.TakeU64(&epoch_) || !r.TakeU32(&num_shards)) return false;
-  if (num_shards != static_cast<uint32_t>(options_.num_shards)) return false;
-  stripes_.clear();
-  stripes_.reserve(num_shards);
-  for (uint32_t i = 0; i < num_shards; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-    std::string_view ckpt;
-    if (!r.TakeView(&ckpt) || !stripes_[i]->space.Restore(ckpt)) {
-      return false;
-    }
+  std::string_view ckpt;
+  if (!r.TakeU64(&epoch_) || !r.TakeView(&ckpt) || !space_.Restore(ckpt)) {
+    return false;
   }
   uint32_t n = 0;
   if (!r.TakeU32(&n)) return false;
@@ -518,22 +299,11 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
     }
     clients_.emplace(pid, std::move(c));
   }
-  {
-    // Counters live in atomics; decode into temporaries and store.
-    uint64_t pe = 0, to = 0, cm = 0, ab = 0, cp = 0, cs = 0, bf = 0, bo = 0;
-    if (!r.TakeU64(&pe) || !r.TakeU64(&to) || !r.TakeU64(&cm) ||
-        !r.TakeU64(&ab) || !r.TakeU64(&cp) || !r.TakeU64(&cs) ||
-        !r.TakeU64(&bf) || !r.TakeU64(&bo)) {
-      return false;
-    }
-    publish_epoch_.store(pe);
-    tuple_ops_.store(to);
-    commits_.store(cm);
-    aborts_.store(ab);
-    checkpoints_.store(cp);
-    cross_shard_ops_.store(cs);
-    batch_frames_.store(bf);
-    batched_ops_.store(bo);
+  if (!r.TakeU64(&publish_epoch_) || !r.TakeU64(&tuple_ops_) ||
+      !r.TakeU64(&commits_) || !r.TakeU64(&aborts_) ||
+      !r.TakeU64(&checkpoints_) || !r.TakeU64(&batch_frames_) ||
+      !r.TakeU64(&batched_ops_)) {
+    return false;
   }
   uint32_t num_servers = 0;
   if (!r.TakeU32(&num_servers)) return false;
@@ -648,31 +418,19 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
     }
     decisions_.emplace(TxnKey{pid, incarnation, seq}, std::move(d));
   }
-  {
-    uint64_t tp = 0, tx = 0;
-    if (!r.TakeU64(&tp) || !r.TakeU64(&tx)) return false;
-    txn_prepares_.store(tp);
-    txn_cross_server_.store(tx);
+  if (!r.TakeU64(&txn_prepares_) || !r.TakeU64(&txn_cross_server_)) {
+    return false;
   }
   return r.AtEnd();
 }
 
 bool SpaceServer::TakeCheckpoint() {
-  // Quiesce protocol: in threaded mode every caller holds a full StateLock
-  // (all stripes + ctrl), so no fast-path appender is mid-append and the
-  // snapshot is a consistent cut across stripes. Hold log_mu_ across the
-  // rotation so the log writer's in-flight writev never races the fd swap.
-  // The snapshot already reflects every ENQUEUED entry — apply happens at
-  // enqueue time — so once the rename commits, still-unwritten queued
-  // entries are obsolete: the checkpoint doubles as their durability
-  // barrier, and every reply gated on them becomes releasable.
-#ifndef NDEBUG
-  assert(!live_threaded_ || tls_full_scope_held);
-#endif
-  std::unique_lock<std::mutex> log_lock;
-  if (live_threaded_) {
-    log_lock = std::unique_lock<std::mutex>(log_mu_);
-  }
+  // Callers checkpoint only at a point where every appended entry has been
+  // applied, so the snapshot and the fresh log form a consistent cut. With
+  // wal_sync, the old log is synced first and the snapshot before its
+  // rename: whichever side of the rename a power loss lands on, the
+  // checkpoint + log pair it recovers from holds every acknowledged entry.
+  if (!SyncWal()) return false;
   const uint64_t old_epoch = epoch_;
   epoch_ += 1;
   const std::string snapshot = EncodeSnapshot();
@@ -680,7 +438,8 @@ bool SpaceServer::TakeCheckpoint() {
   const std::string tmp_path = ckpt_path + ".tmp";
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  const bool ok = WriteAll(fd, snapshot.data(), snapshot.size());
+  bool ok = WriteAll(fd, snapshot.data(), snapshot.size());
+  if (ok && options_.wal_sync) ok = ::fdatasync(fd) == 0;
   ::close(fd);
   // The rename is the commit point: a crash before it leaves the previous
   // checkpoint + log pair intact; a crash after it recovers from the new
@@ -688,15 +447,6 @@ bool SpaceServer::TakeCheckpoint() {
   if (!ok || ::rename(tmp_path.c_str(), ckpt_path.c_str()) != 0) {
     epoch_ = old_epoch;
     return false;
-  }
-  if (live_threaded_) {
-    for (PendingWal& p : wal_pending_) {
-      p.frame.clear();
-      wal_buf_pool_.push_back(std::move(p.frame));
-    }
-    wal_pending_.clear();
-    wal_durable_seq_.store(wal_enqueued_seq_.load());
-    WakeIo();  // release replies that were gated on the cleared entries
   }
   if (log_fd_ >= 0) ::close(log_fd_);
   const std::string log_path =
@@ -731,16 +481,7 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
   // parse as a plausible length. The payload is encoded straight after the
   // reserved header bytes (patched once the length is known) into a
   // recycled buffer, so the hot path allocates nothing in steady state.
-  std::string frame;
-  if (live_threaded_) {
-    std::lock_guard<std::mutex> lk(log_mu_);
-    if (!wal_buf_pool_.empty()) {
-      frame = std::move(wal_buf_pool_.back());
-      wal_buf_pool_.pop_back();
-    }
-  } else {
-    frame = std::move(wal_frame_buf_);
-  }
+  std::string& frame = wal_frame_buf_;
   frame.assign(kWalHeaderBytes, '\0');
   EncodeLogEntryInto(entry, &frame);
   // An oversized entry would be skipped (and truncated away) by ReplayLog,
@@ -753,37 +494,19 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
     return false;
   }
   PatchWalHeader(&frame);
-  if (live_threaded_) {
-    // Group commit: enqueue for the log-writer thread, which coalesces
-    // everything pending into one writev + fdatasync batch. Callers apply
-    // right away; the reply is only RELEASED once wal_durable_seq_ covers
-    // this seq, so nothing unlogged is ever acknowledged. The seq is
-    // assigned under log_mu_ *together with* the push: stripe-parallel
-    // appenders would otherwise interleave between ticket and enqueue and
-    // hand the log writer an out-of-order wal_pending_ (its durability
-    // watermark is batch.back().seq). Per-stripe apply order still equals
-    // log order because the caller holds the entry's stripe(s) across
-    // append+apply; entries on different stripes commute on replay.
-    {
-      std::lock_guard<std::mutex> lk(log_mu_);
-      const uint64_t seq = wal_enqueued_seq_.load() + 1;
-      wal_enqueued_seq_.store(seq);
-      wal_pending_.push_back(PendingWal{seq, std::move(frame)});
-    }
-    log_cv_.notify_one();
+  if (!WriteAll(log_fd_, frame.data(), frame.size())) {
+    // A partial append is a torn tail: recovery truncates it away, so the
+    // entry is NOT durable. Stop serving instead of acknowledging it.
+    wal_failed_ = true;
+    stop_ = true;
+    return false;
+  }
+  if (options_.wal_sync) {
+    wal_unsynced_bytes_ += frame.size();  // SyncWal commits the group
   } else {
-    if (!WriteAll(log_fd_, frame.data(), frame.size())) {
-      // A partial append is a torn tail: recovery truncates it away, so the
-      // entry is NOT durable. Stop serving instead of acknowledging it.
-      wal_failed_ = true;
-      stop_ = true;
-      return false;
-    }
-    // One append = one durable "batch" in single-threaded mode, so the
-    // group-commit counters stay meaningful across modes.
-    wal_group_commits_.fetch_add(1);
-    wal_synced_bytes_.fetch_add(frame.size());
-    wal_frame_buf_ = std::move(frame);
+    // Without a sync, every append is its own durable "group commit".
+    ++wal_group_commits_;
+    wal_synced_bytes_ += frame.size();
   }
   // Deliberately no checkpoint here: callers apply the entry right after
   // appending it, and a checkpoint taken in between would snapshot the
@@ -791,6 +514,23 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
   // it from durable state. The serve loop checkpoints once every entry
   // appended so far has been applied.
   ++ops_since_checkpoint_;
+  return true;
+}
+
+bool SpaceServer::SyncWal() {
+  if (wal_sync_failed_) return false;
+  if (wal_unsynced_bytes_ == 0) return true;
+  if (log_fd_ < 0 || ::fdatasync(log_fd_) != 0) {
+    // Replies and peer messages produced since the last sync may describe
+    // entries a power loss would erase: none of them may leave now.
+    wal_sync_failed_ = true;
+    wal_failed_ = true;
+    stop_ = true;
+    return false;
+  }
+  ++wal_group_commits_;
+  wal_synced_bytes_ += wal_unsynced_bytes_;
+  wal_unsynced_bytes_ = 0;
   return true;
 }
 
@@ -821,10 +561,6 @@ bool SpaceServer::ReplayLog(const std::string& path) {
 
 bool SpaceServer::Recover() {
   ::mkdir(options_.state_dir.c_str(), 0755);
-  stripes_.clear();
-  for (int i = 0; i < options_.num_shards; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
   const std::string ckpt_path = options_.state_dir + "/ckpt";
   struct stat st;
   if (::stat(ckpt_path.c_str(), &st) == 0) {
@@ -897,7 +633,7 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
       break;
     case LogKind::kIn: {
       Tuple removed;
-      FindMatch(ExactTemplate(entry.tuple), &removed, /*remove=*/true);
+      space_.TryIn(ExactTemplate(entry.tuple), &removed);
       ++tuple_ops_;
       if (entry.in_txn && entry.pid >= 0) {
         clients_[entry.pid].txn_ins.push_back(entry.tuple);
@@ -1074,7 +810,7 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
             break;
           case BatchEffectKind::kTook: {
             Tuple removed;
-            FindMatch(ExactTemplate(effect.tuple), &removed, /*remove=*/true);
+            space_.TryIn(ExactTemplate(effect.tuple), &removed);
             if (effect.in_txn && entry.pid >= 0) {
               clients_[entry.pid].txn_ins.push_back(effect.tuple);
             }
@@ -1135,25 +871,8 @@ void SpaceServer::SendEncoded(Conn& conn, const std::string& encoded_reply) {
     fallback = EncodeReply(reply);
     payload = &fallback;
   }
-  if (!live_threaded_) {
-    AppendFrame(*payload, &conn.outbuf);
-    RequestFlush(conn.fd);
-    return;
-  }
-  // Threaded mode: queue behind WAL durability. Tagging with the LAST
-  // enqueued seq (not just this op's own entry, if any) is deliberately
-  // conservative — it also covers replies whose VALUE depends on earlier
-  // not-yet-durable mutations (e.g. a rd that matched another client's
-  // freshly applied out), so no observable state ever escapes ahead of the
-  // log prefix that produced it.
-  PendingOut out;
-  out.walseq = wal_enqueued_seq_.load();
-  AppendFrame(*payload, &out.bytes);
-  {
-    std::lock_guard<std::mutex> lk(conn.out_mu);
-    conn.outgoing.push_back(std::move(out));
-  }
-  RequestFlush(conn.fd);
+  AppendFrame(*payload, &conn.outbuf);
+  flush_request_.insert(conn.fd);
 }
 
 void SpaceServer::SendReply(Conn& conn, const Reply& reply) {
@@ -1168,52 +887,15 @@ void SpaceServer::SendError(Conn& conn, const std::string& detail) {
 }
 
 void SpaceServer::SatisfyWaiters() {
-  if (tls_partial_scope) {
-    // Fast-path dispatch: the worker holds only this request's stripes, and
-    // satisfying a waiter may probe any stripe and touch the client tables.
-    // Defer — WorkerLoop escalates to a full StateLock after releasing the
-    // subset (no lost wakeup: a racing parker either saw our publish while
-    // probing under the shared stripe mutex, or registered in waiter_count_
-    // before releasing it, which the escalation check observes).
-    tls_satisfy_deferred = true;
-    return;
-  }
-  SatisfyAllWaiters();
-}
-
-std::vector<std::pair<std::list<SpaceServer::Waiter>*,
-                      std::list<SpaceServer::Waiter>::iterator>>
-SpaceServer::WaitersByTicket() {
-  std::vector<std::pair<std::list<Waiter>*, std::list<Waiter>::iterator>> all;
-  for (auto& stripe : stripes_) {
-    for (auto it = stripe->waiters.begin(); it != stripe->waiters.end();
-         ++it) {
-      all.emplace_back(&stripe->waiters, it);
-    }
-  }
-  for (auto it = formal_waiters_.begin(); it != formal_waiters_.end(); ++it) {
-    all.emplace_back(&formal_waiters_, it);
-  }
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.second->ticket < b.second->ticket;
-  });
-  return all;
-}
-
-void SpaceServer::SatisfyAllWaiters() {
-#ifndef NDEBUG
-  assert(!live_threaded_ || tls_full_scope_held);
-#endif
-  // Ticket order reproduces the arrival-order scan of the pre-striping
-  // global FIFO list exactly (observable in reply bytes). Erasing a list
-  // iterator never invalidates the others, so the snapshot stays valid.
-  for (auto& [list, it] : WaitersByTicket()) {
+  for (auto it = waiters_.begin(); it != waiters_.end();) {
     Tuple t;
-    if (!FindMatch(it->tmpl, &t, /*remove=*/false)) continue;
+    if (!space_.TryRd(it->tmpl, &t)) {
+      ++it;
+      continue;
+    }
     auto cit = conns_.find(it->fd);
     if (cit == conns_.end()) {
-      list->erase(it);  // connection died while parked
-      waiter_count_.fetch_sub(1);
+      it = waiters_.erase(it);  // connection died while parked
       continue;
     }
     Conn& conn = *cit->second;
@@ -1239,34 +921,8 @@ void SpaceServer::SatisfyAllWaiters() {
       ++tuple_ops_;
       SendReply(conn, reply);
     }
-    list->erase(it);
-    waiter_count_.fetch_sub(1);
+    it = waiters_.erase(it);
   }
-}
-
-void SpaceServer::ParkWaiter(Conn& conn, const Request& request) {
-  Waiter w;
-  w.fd = conn.fd;
-  w.pid = conn.pid;
-  w.seq = request.seq;
-  w.tmpl = request.tmpl;
-  w.remove = (request.flags & kInRemove) != 0;
-  w.ticket = waiter_ticket_.fetch_add(1);
-  BucketKeyView key;
-  if (SingleBucketKeyFor(request.tmpl, &key)) {
-    // The caller holds this stripe (it is the kIn's ComputeScope stripe, or
-    // the full scope), so tickets are monotone within each stripe list.
-    stripes_[ShardIndexFor(key)]->waiters.push_back(std::move(w));
-  } else {
-#ifndef NDEBUG
-    assert(!live_threaded_ || tls_full_scope_held);
-#endif
-    formal_waiters_.push_back(std::move(w));
-  }
-  // Count AFTER the park is in its list but before the caller releases the
-  // stripe: a publisher that misses this increment must have published
-  // before our probe (same stripe mutex), so the probe saw its tuple.
-  waiter_count_.fetch_add(1);
 }
 
 void SpaceServer::HandleHello(Conn& conn, const Request& request) {
@@ -1319,7 +975,7 @@ void SpaceServer::HandleIn(Conn& conn, const Request& request) {
   const bool remove = (request.flags & kInRemove) != 0;
   const bool blocking = (request.flags & kInBlocking) != 0;
   Tuple t;
-  if (FindMatch(request.tmpl, &t, /*remove=*/false)) {
+  if (space_.TryRd(request.tmpl, &t)) {
     if (remove) {
       bool in_txn = false;
       if (conn.pid >= 0) {
@@ -1345,7 +1001,9 @@ void SpaceServer::HandleIn(Conn& conn, const Request& request) {
     return;
   }
   if (blocking) {
-    ParkWaiter(conn, request);  // no reply until a match appears
+    // No reply until a publish makes a match available.
+    waiters_.push_back(Waiter{conn.fd, conn.pid, request.seq, request.tmpl,
+                              remove});
     return;
   }
   ++tuple_ops_;
@@ -1375,9 +1033,8 @@ void SpaceServer::HandleBatch(Conn& conn, const Request& request) {
   // sub-ops see the effects of earlier ones in the same batch) and
   // recording each resolved effect. The WAL record is appended AFTER
   // resolution — the one place we invert the log-before-apply discipline —
-  // which is safe because the dispatch holds every stripe the batch can
-  // touch (ComputeScope's union, or the full scope) across resolve + append
-  // + apply, so nothing observes the intermediate state; no ack is sent
+  // which is safe because the serve loop applies one request at a time, so
+  // nothing observes the intermediate state; no ack is sent
   // unless the append succeeds, and a crash in between loses the in-memory
   // mutation together with the log record, so the client's retry re-applies
   // from scratch.
@@ -1398,7 +1055,7 @@ void SpaceServer::HandleBatch(Conn& conn, const Request& request) {
     } else {
       const bool remove = (op.flags & kInRemove) != 0;
       Tuple t;
-      if (FindMatch(op.tmpl, &t, remove)) {
+      if (remove ? space_.TryIn(op.tmpl, &t) : space_.TryRd(op.tmpl, &t)) {
         effect.kind = remove ? BatchEffectKind::kTook : BatchEffectKind::kRead;
         effect.in_txn = remove && in_txn;
         effect.tuple = std::move(t);
@@ -1423,15 +1080,8 @@ void SpaceServer::HandleBatch(Conn& conn, const Request& request) {
 
 void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
   Request request;
-  std::string error;
-  const bool ok = DecodeRequest(payload, &request, &error);
-  DispatchRequest(conn, request, ok, error);
-}
-
-void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
-                                  bool decode_ok,
-                                  const std::string& decode_error) {
-  if (!decode_ok) {
+  std::string decode_error;
+  if (!DecodeRequest(payload, &request, &decode_error)) {
     SendError(conn, decode_error);
     conn.close_after_flush = true;
     return;
@@ -1452,7 +1102,7 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
     if (peer_op || client_traffic) {
       conn.saw_bye = true;  // partition drop, not a crash: no crash-abort
       conn.close_after_flush = true;
-      RequestFlush(conn.fd);
+      flush_request_.insert(conn.fd);
       return;  // blackholed: no reply
     }
   }
@@ -1628,23 +1278,19 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
     }
     case Op::kCount: {
       Reply reply;
-      reply.count = CountAcrossShards(request.tmpl);
+      reply.count = space_.CountMatches(request.tmpl);
       ++tuple_ops_;
       SendReply(conn, reply);
       break;
     }
     case Op::kTakeAll: {
       Reply reply;
-      for (const auto& stripe : stripes_) {
-        for (Tuple& t : stripe->space.TakeAllInOrder()) {
-          reply.tuples.push_back(std::move(t));
-        }
-      }
+      reply.tuples = space_.TakeAllInOrder();
       const std::string encoded = EncodeReply(reply);
       if (encoded.size() > kMaxFramePayload) {
         // The peer's FrameReader would reject the reply as corrupt. Put the
-        // tuples back (per-shard FIFO order is preserved: the drain emitted
-        // each shard's tuples oldest-first) and fail with a structured
+        // tuples back (FIFO order is preserved: the drain emitted them
+        // oldest-first) and fail with a structured
         // error instead of durably draining a harvest nobody can receive.
         for (Tuple& t : reply.tuples) PublishTuple(std::move(t));
         SendError(conn, "takeall reply exceeds the frame payload limit");
@@ -1679,19 +1325,15 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       reply.aborts = aborts_;
       reply.checkpoints = checkpoints_;
       reply.ops_replayed = ops_replayed_;
-      reply.cross_shard_ops = cross_shard_ops_;
       reply.batch_frames = batch_frames_;
       reply.batched_ops = batched_ops_;
       reply.publish_epoch = publish_epoch_;
       reply.txn_prepares = txn_prepares_;
       reply.txn_cross_server = txn_cross_server_;
-      reply.wal_group_commits = wal_group_commits_.load();
-      reply.wal_synced_bytes = wal_synced_bytes_.load();
-      reply.transport_syscalls = transport_syscalls_.load();
-      reply.transport_bytes = transport_bytes_.load();
-      reply.state_lock_waits = state_lock_waits_.load();
-      reply.stripe_conflicts = stripe_conflicts_.load();
-      reply.stripes = stripes_.size();
+      reply.wal_group_commits = wal_group_commits_;
+      reply.wal_synced_bytes = wal_synced_bytes_;
+      reply.transport_syscalls = transport_syscalls_;
+      reply.transport_bytes = transport_bytes_;
       SendReply(conn, reply);
       break;
     }
@@ -1699,11 +1341,11 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       Reply reply;
       reply.publish_epoch = publish_epoch_;
       reply.forwards_pending = ForwardsPending();
-      for (const auto& [list, wit] : WaitersByTicket()) {
+      for (const Waiter& w : waiters_) {
         ParkedWaiter parked;
-        parked.pid = wit->pid;
-        parked.remove = wit->remove;
-        parked.tmpl_text = ToString(wit->tmpl);
+        parked.pid = w.pid;
+        parked.remove = w.remove;
+        parked.tmpl_text = ToString(w.tmpl);
         reply.parked.push_back(std::move(parked));
       }
       SendReply(conn, reply);
@@ -1714,13 +1356,11 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       Reply cancelled;
       cancelled.status = WireStatus::kCancelled;
       const std::string encoded = EncodeReply(cancelled);
-      for (const auto& [list, wit] : WaitersByTicket()) {
-        auto cit = conns_.find(wit->fd);
+      for (const Waiter& w : waiters_) {
+        auto cit = conns_.find(w.fd);
         if (cit != conns_.end()) SendEncoded(*cit->second, encoded);
       }
-      for (const auto& stripe : stripes_) stripe->waiters.clear();
-      formal_waiters_.clear();
-      waiter_count_.store(0, std::memory_order_relaxed);
+      waiters_.clear();
       SendReply(conn, Reply{});
       break;
     }
@@ -1733,11 +1373,12 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       // reply — the parked op is a non-destructive rd either way.
       Reply miss;
       miss.status = WireStatus::kNotFound;
-      for (const auto& [list, wit] : WaitersByTicket()) {
-        if (wit->fd == conn.fd) {
+      for (auto it = waiters_.begin(); it != waiters_.end();) {
+        if (it->fd == conn.fd) {
           SendReply(conn, miss);
-          list->erase(wit);
-          waiter_count_.fetch_sub(1, std::memory_order_relaxed);
+          it = waiters_.erase(it);
+        } else {
+          ++it;
         }
       }
       SendReply(conn, Reply{});
@@ -1829,7 +1470,9 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       ApplyEntry(entry);
       if (options_.die_after_prepared > 0 && vote == kVotePrepared &&
           ++prepared_votes_logged_ >= options_.die_after_prepared) {
-        MaybeDieAt("chaos.died.part");  // die before acking the vote
+        // Die before acking the vote, with the PREPARED record durable.
+        if (!SyncWal()) break;
+        MaybeDieAt("chaos.died.part");
       }
       Reply reply;
       reply.vote = vote;
@@ -1949,18 +1592,7 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
     if (it == conns_.end()) continue;
     dropped.push_back(std::move(it->second));
     conns_.erase(it);
-    auto purge = [this, fd](std::list<Waiter>& list) {
-      for (auto wit = list.begin(); wit != list.end();) {
-        if (wit->fd == fd) {
-          wit = list.erase(wit);
-          waiter_count_.fetch_sub(1, std::memory_order_relaxed);
-        } else {
-          ++wit;
-        }
-      }
-    };
-    for (const auto& stripe : stripes_) purge(stripe->waiters);
-    purge(formal_waiters_);
+    waiters_.remove_if([fd](const Waiter& w) { return w.fd == fd; });
     // A 2PC commit parked on this connection loses its reply target (the
     // fd number may be reused); the client's resent XCOMMIT re-parks.
     for (auto& [pid, txn] : coord_pending_) {
@@ -2008,14 +1640,14 @@ void SpaceServer::StartPartitionDrop() {
   // saw_bye suppresses the DropConns crash-abort: the client is alive on
   // the far side of the cut and will reconnect under the SAME incarnation
   // after the heal, expecting its open transaction intact. Outbound peer
-  // links are torn down by PumpPeers on the I/O thread (it owns those
-  // fds); unregistered control connections stay up as the heal channel.
+  // links are torn down by PumpPeers; unregistered control connections stay
+  // up as the heal channel.
   for (auto& [fd, conn_ptr] : conns_) {
     Conn& conn = *conn_ptr;
     if (conn.pid < 0 && !conn.is_peer) continue;
     conn.saw_bye = true;
     conn.close_after_flush = true;
-    RequestFlush(fd);
+    flush_request_.insert(fd);
   }
 }
 
@@ -2027,7 +1659,6 @@ void SpaceServer::EnqueueForward(size_t target, std::vector<Tuple> outs) {
   msg.fseq = ++peer.next_fseq;
   msg.op = Op::kForward;
   msg.outs = std::move(outs);
-  msg.walseq = live_threaded_ ? wal_enqueued_seq_.load() : 0;
   peer.unacked.push_back(std::move(msg));
 }
 
@@ -2042,7 +1673,6 @@ void SpaceServer::EnqueuePrepare(uint32_t target, int32_t pid,
   msg.txn_pid = pid;
   msg.txn_incarnation = incarnation;
   msg.txn_seq = seq;
-  msg.walseq = live_threaded_ ? wal_enqueued_seq_.load() : 0;
   peer.unacked.push_back(std::move(msg));
   ++txn_prepares_;
 }
@@ -2057,7 +1687,6 @@ void SpaceServer::EnqueueDecide(uint32_t target, const TxnKey& key,
   msg.txn_incarnation = std::get<1>(key);
   msg.txn_seq = std::get<2>(key);
   msg.decision = outcome;
-  msg.walseq = live_threaded_ ? wal_enqueued_seq_.load() : 0;
   peer.unacked.push_back(std::move(msg));
 }
 
@@ -2242,17 +1871,20 @@ void SpaceServer::ReadPeerAcks(size_t k) {
 }
 
 void SpaceServer::PumpPeers() {
-  // Partitioned: hold every outbound link down. Runs on the I/O thread
-  // (which owns the peer fds), so this is also where the partition's
-  // teardown of established links happens; the unacked queues stay intact
-  // and resend in full after the heal, the peers' watermarks absorbing any
-  // duplicates from frames that made it out before the cut.
+  // Partitioned: hold every outbound link down. This is also where the
+  // partition's teardown of established links happens; the unacked queues
+  // stay intact and resend in full after the heal, the peers' watermarks
+  // absorbing any duplicates from frames that made it out before the cut.
   if (partitioned_) {
     for (PeerLink& peer : peers_) {
       if (peer.fd >= 0) DropPeer(peer);
     }
     return;
   }
+  // A peer that durably applies a message whose source entry a power loss
+  // here would erase breaks exactly-once (the replayed commit would
+  // re-forward under a fresh fseq): with wal_sync, nothing leaves unsynced.
+  if (!SyncWal()) return;
   for (size_t k = 0; k < peers_.size(); ++k) {
     if (k == static_cast<size_t>(options_.server_index)) continue;
     PeerLink& peer = peers_[k];
@@ -2288,16 +1920,8 @@ void SpaceServer::PumpPeers() {
     // dedup window and the post-cancel gate (forwards and 2PC traffic must
     // drain even after a Cancel so the harvest sees every committed
     // tuple and no transaction stays in doubt).
-    const uint64_t durable = wal_durable_seq_.load();
     while (peer.sent < peer.unacked.size()) {
       const PeerMsg& msg = peer.unacked[peer.sent];
-      // Group-commit gating: never put a message on the wire before the
-      // log entry whose apply produced it is durable — a peer durably
-      // applying effects of an entry a crash here would erase breaks
-      // exactly-once (the replayed commit would re-forward under a fresh
-      // fseq). Messages queue in WAL order, so stopping at the first
-      // non-durable one gates a clean prefix.
-      if (live_threaded_ && msg.walseq > durable) break;
       Request request;
       request.op = msg.op;
       request.pid = static_cast<int32_t>(options_.server_index);
@@ -2328,38 +1952,7 @@ void SpaceServer::PumpPeers() {
   }
 }
 
-// --- threaded serve machinery ---------------------------------------------
-
-void SpaceServer::WakeIo() {
-  if (wake_fd_ < 0) return;
-  const uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-}
-
-void SpaceServer::RequestFlush(int fd) {
-  {
-    std::lock_guard<std::mutex> lk(flush_mu_);
-    flush_request_.insert(fd);
-  }
-  if (live_threaded_) WakeIo();  // single-threaded: we ARE the I/O thread
-}
-
-void SpaceServer::ScheduleConnLocked(Conn* conn) {
-  if (conn->scheduled || conn->inbox.empty()) return;
-  conn->scheduled = true;
-  runnable_.push_back(conn);
-  sched_cv_.notify_one();
-}
-
-bool SpaceServer::DrainOutgoing(Conn& conn) {
-  const uint64_t durable = wal_durable_seq_.load();
-  std::lock_guard<std::mutex> lk(conn.out_mu);
-  while (!conn.outgoing.empty() && conn.outgoing.front().walseq <= durable) {
-    conn.outbuf += conn.outgoing.front().bytes;
-    conn.outgoing.pop_front();
-  }
-  return !conn.outgoing.empty();
-}
+// --- socket output -------------------------------------------------------
 
 bool SpaceServer::FlushConn(Conn& conn) {
   return FlushCursor(conn.fd, &conn.outbuf, &conn.outbuf_sent,
@@ -2376,139 +1969,18 @@ void SpaceServer::UpdateConnEvents(Conn& conn) {
   conn.epoll_out = want_out;
 }
 
-void SpaceServer::WorkerLoop() {
-  std::vector<std::string> frames;
-  for (;;) {
-    Conn* conn = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(sched_mu_);
-      sched_cv_.wait(lk, [&] { return workers_stop_ || !runnable_.empty(); });
-      if (runnable_.empty()) break;  // workers_stop_ and nothing to drain
-      conn = runnable_.front();
-      runnable_.pop_front();
-    }
-    // Strand discipline: this worker owns `conn` (scheduled == true) until
-    // its inbox drains, so one connection's frames always dispatch in
-    // arrival order and never on two workers at once.
-    for (;;) {
-      frames.clear();
-      {
-        std::lock_guard<std::mutex> lk(sched_mu_);
-        if (conn->inbox.empty() || stop_) {
-          conn->scheduled = false;
-          break;
-        }
-        while (!conn->inbox.empty()) {
-          frames.push_back(std::move(conn->inbox.front()));
-          conn->inbox.pop_front();
-        }
-      }
-      for (const std::string& payload : frames) {
-        // The expensive part — parsing tuple text out of the frame — runs
-        // outside every lock; only the apply itself serializes.
-        Request request;
-        std::string error;
-        const bool ok = DecodeRequest(payload, &request, &error);
-        std::vector<size_t> scope;
-        tls_satisfy_deferred = false;
-        if (ComputeScope(request, ok, &scope)) {
-          // Fast path: the request names a known stripe subset, so it runs
-          // concurrently with requests on disjoint stripes. The client_mu_
-          // slot serializes this pid's ClientState (dedup window, last_seq,
-          // txn log) against a resent duplicate racing in on a second
-          // connection after a reconnect.
-          StateLock lock(this, scope);
-          std::unique_lock<std::mutex> client_lk;
-          if (conn->pid >= 0) {
-            client_lk = std::unique_lock<std::mutex>(
-                client_mu_[static_cast<size_t>(conn->pid) % client_mu_.size()]);
-          }
-          tls_partial_scope = true;
-          DispatchRequest(*conn, request, ok, error);
-          tls_partial_scope = false;
-        } else {
-          StateLock lock(this);
-          DispatchRequest(*conn, request, ok, error);
-        }
-        if (tls_satisfy_deferred) {
-          // A fast-path publish may unblock a waiter parked on any stripe
-          // (formal-first templates match across stripes), so the wakeup
-          // scan escalates to the full scope — but only when someone is
-          // actually parked.
-          tls_satisfy_deferred = false;
-          if (waiter_count_.load(std::memory_order_relaxed) > 0) {
-            stripe_conflicts_.fetch_add(1, std::memory_order_relaxed);
-            StateLock full(this);
-            SatisfyAllWaiters();
-          }
-        }
-        if (!stop_.load() && ops_since_checkpoint_.load() >=
-                                 options_.checkpoint_every_ops) {
-          // Checkpoint outside the dispatch scope: re-check under the full
-          // lock since a concurrent worker may have just taken one.
-          StateLock full(this);
-          if (ops_since_checkpoint_.load() >= options_.checkpoint_every_ops &&
-              !TakeCheckpoint() && log_fd_ < 0) {
-            wal_failed_ = true;
-            stop_ = true;
-          }
-        }
-        if (stop_.load()) break;
-      }
-      RequestFlush(conn->fd);
-    }
-  }
-}
-
-void SpaceServer::LogWriterLoop() {
-  std::vector<PendingWal> batch;
-  std::vector<iovec> iov;
-  for (;;) {
-    std::unique_lock<std::mutex> lk(log_mu_);
-    log_cv_.wait(lk, [&] { return log_stop_ || !wal_pending_.empty(); });
-    if (wal_pending_.empty()) break;  // log_stop_ and fully drained
-    batch.clear();
-    while (!wal_pending_.empty()) {
-      batch.push_back(std::move(wal_pending_.front()));
-      wal_pending_.pop_front();
-    }
-    // The group commit: everything that queued while the previous batch
-    // was syncing goes out in one writev + one fdatasync. log_mu_ stays
-    // held across the write so a concurrent checkpoint can't rotate
-    // log_fd_ mid-batch.
-    iov.clear();
-    size_t bytes = 0;
-    for (PendingWal& p : batch) {
-      iov.push_back(iovec{p.frame.data(), p.frame.size()});
-      bytes += p.frame.size();
-    }
-    bool ok = log_fd_ >= 0 && WritevAll(log_fd_, &iov);
-    if (ok && wal_sync_) ok = ::fdatasync(log_fd_) == 0;
-    if (!ok) {
-      // Durability lost mid-run. Replies gated on this batch are never
-      // released, so nothing unlogged was acknowledged; stop serving.
-      wal_failed_ = true;
-      stop_ = true;
-      lk.unlock();
-      WakeIo();
-      break;
-    }
-    wal_durable_seq_.store(batch.back().seq);
-    wal_group_commits_.fetch_add(1);
-    wal_synced_bytes_.fetch_add(bytes);
-    for (PendingWal& p : batch) {
-      p.frame.clear();
-      wal_buf_pool_.push_back(std::move(p.frame));
-    }
-    lk.unlock();
-    WakeIo();  // release the replies this batch made durable
-  }
-}
-
 // --- the serve loop -------------------------------------------------------
 
 int SpaceServer::Serve() {
   ::signal(SIGPIPE, SIG_IGN);
+  if (options_.threads != 0 && options_.threads != 1) {
+    std::fprintf(stderr,
+                 "fpdm server: SpaceServerOptions::threads is %d, but only "
+                 "0 or 1 is supported (one event loop per server; run more "
+                 "servers to use more cores)\n",
+                 options_.threads);
+    return 4;
+  }
   if (!Recover()) return 1;
 
   Endpoint listen_ep;
@@ -2552,24 +2024,12 @@ int SpaceServer::Serve() {
   }
 
   epoll_fd_ = ::epoll_create1(0);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) return 1;
+  if (epoll_fd_ < 0) return 1;
   {
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = listen_fd_;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) return 1;
-    ev.data.fd = wake_fd_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) return 1;
-  }
-
-  if (Threaded()) {
-    live_threaded_ = true;
-    log_thread_ = std::thread(&SpaceServer::LogWriterLoop, this);
-    workers_.reserve(static_cast<size_t>(threads_));
-    for (int i = 0; i < threads_; ++i) {
-      workers_.emplace_back(&SpaceServer::WorkerLoop, this);
-    }
   }
 
   std::vector<epoll_event> events(256);
@@ -2578,13 +2038,14 @@ int SpaceServer::Serve() {
   std::vector<size_t> peer_read;
   std::vector<int> to_drop;
   std::set<int> flush;
-  std::set<int> defunct;  // EOF / socket error: drop once the inbox drains
+  std::set<int> defunct;  // EOF / socket error: drop after this pass's flush
   std::set<int> closing;  // close_after_flush seen: drop once fully flushed
-  std::set<int> gated;    // outgoing head still waiting on WAL durability
-  std::vector<std::string> frames;
   while (!stop_) {
+    // Replies produced after the last flush phase (by peer acks or drops)
+    // go out on the next pass without waiting for a socket event.
+    const int timeout_ms = flush_request_.empty() ? 200 : 0;
     const int nev = ::epoll_wait(epoll_fd_, events.data(),
-                                 static_cast<int>(events.size()), 200);
+                                 static_cast<int>(events.size()), timeout_ms);
     if (nev < 0 && errno != EINTR) break;
     bool accept_ready = false;
     read_ready.clear();
@@ -2595,12 +2056,6 @@ int SpaceServer::Serve() {
       const uint32_t ev = events[i].events;
       if (fd == listen_fd_) {
         accept_ready = true;
-        continue;
-      }
-      if (fd == wake_fd_) {
-        uint64_t drained = 0;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
         continue;
       }
       if (conns_.count(fd) != 0) {
@@ -2619,10 +2074,9 @@ int SpaceServer::Serve() {
       }
     }
 
-    // Read phase — no state lock: the frame reader and outbuf belong to
-    // this thread, and conns_ is only ever mutated here. read(2) lands
-    // directly in the reader's buffer (FrameReader::WriteBuffer), so the
-    // single-threaded path hands frames to the decoder without a copy.
+    // Read phase: read(2) lands directly in the reader's buffer
+    // (FrameReader::WriteBuffer), and each reassembled frame is decoded in
+    // place and applied inline, in arrival order.
     for (int fd : read_ready) {
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
@@ -2631,10 +2085,10 @@ int SpaceServer::Serve() {
       for (;;) {
         char* dst = conn.reader.WriteBuffer(65536);
         const ssize_t n = ::read(fd, dst, 65536);
-        transport_syscalls_.fetch_add(1);
+        ++transport_syscalls_;
         if (n > 0) {
           conn.reader.CommitWrite(static_cast<size_t>(n));
-          transport_bytes_.fetch_add(static_cast<uint64_t>(n));
+          transport_bytes_ += static_cast<uint64_t>(n);
           continue;
         }
         conn.reader.CommitWrite(0);
@@ -2645,66 +2099,35 @@ int SpaceServer::Serve() {
         }
         break;
       }
-      if (Threaded()) {
-        // Hand the reassembled frames to the connection's strand. The one
-        // copy into the inbox buys cross-thread ownership; everything
-        // downstream decodes in place.
-        frames.clear();
-        std::string payload;
-        bool corrupt = false;
-        for (;;) {
-          const FrameReader::Result result = conn.reader.Next(&payload);
-          if (result == FrameReader::Result::kFrame) {
-            frames.push_back(std::move(payload));
-            payload.clear();
-            continue;
-          }
-          if (result == FrameReader::Result::kError) corrupt = true;
-          break;
+      std::string_view payload;
+      for (;;) {
+        const FrameReader::Result result = conn.reader.NextView(&payload);
+        if (result == FrameReader::Result::kFrame) {
+          HandleFrame(conn, payload);
+          if (stop_) break;
+          continue;
         }
-        if (!frames.empty()) {
-          std::lock_guard<std::mutex> lk(sched_mu_);
-          for (std::string& f : frames) conn.inbox.push_back(std::move(f));
-          ScheduleConnLocked(&conn);
-        }
-        if (corrupt) {
+        if (result == FrameReader::Result::kError) {
           SendError(conn, conn.reader.error());
-          conn.close_after_flush = true;  // stream unrecoverable
+          dead = true;  // the byte stream is unrecoverable
         }
-      } else {
-        std::string_view payload;
-        for (;;) {
-          const FrameReader::Result result = conn.reader.NextView(&payload);
-          if (result == FrameReader::Result::kFrame) {
-            HandleFrame(conn, payload);
-            if (stop_) break;
-            continue;
-          }
-          if (result == FrameReader::Result::kError) {
-            SendError(conn, conn.reader.error());
-            dead = true;  // the byte stream is unrecoverable
-          }
-          break;
-        }
+        break;
       }
       if (dead) defunct.insert(fd);
     }
 
-    // Flush phase: fds with replies appended since the last pass (both
-    // modes go through RequestFlush), re-checked durability gates, and
+    // Group commit: with wal_sync, one fdatasync covers every append of
+    // this pass before any reply it produced reaches a socket.
+    if (!SyncWal()) break;
+
+    // Flush phase: fds with replies appended since the last pass and
     // EPOLLOUT-ready sockets with a partial flush pending.
-    {
-      std::lock_guard<std::mutex> lk(flush_mu_);
-      flush.swap(flush_request_);
-    }
+    flush.swap(flush_request_);
     for (int fd : write_ready) flush.insert(fd);
-    flush.insert(gated.begin(), gated.end());
-    gated.clear();
     for (int fd : flush) {
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
       Conn& conn = *it->second;
-      if (DrainOutgoing(conn)) gated.insert(fd);
       if (!FlushConn(conn)) {
         defunct.insert(fd);
         continue;
@@ -2714,135 +2137,71 @@ int SpaceServer::Serve() {
     }
     flush.clear();
 
-    // State phase: everything that touches the shared tables.
-    to_drop.clear();
-    const auto state_phase = [&] {
-      if (accept_ready) {
-        for (;;) {
-          const int fd = ::accept(listen_fd_, nullptr, nullptr);
-          if (fd < 0) break;
-          SetNonBlocking(fd);
-          ApplySndbuf(fd, options_.sndbuf_bytes);
-          if (tcp_listener_) ApplyTcpSocketOptions(fd);
-          auto conn = std::make_unique<Conn>();
-          conn->fd = fd;
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = fd;
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-          conns_.emplace(fd, std::move(conn));
-        }
+    if (accept_ready) {
+      for (;;) {
+        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (fd < 0) break;
+        SetNonBlocking(fd);
+        ApplySndbuf(fd, options_.sndbuf_bytes);
+        if (tcp_listener_) ApplyTcpSocketOptions(fd);
+        auto conn = std::make_unique<Conn>();
+        conn->fd = fd;
+        epoll_event ev{};
+        ev.events = EPOLLIN;
+        ev.data.fd = fd;
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+        conns_.emplace(fd, std::move(conn));
       }
-
-      for (size_t k : peer_read) {
-        if (peers_[k].fd >= 0) ReadPeerAcks(k);
-      }
-
-      // Drop checks. A connection leaves only when no worker owns it and
-      // its inbox is drained (a worker may still hold a pointer to it
-      // otherwise); close_after_flush additionally waits for the reply
-      // queue and outbuf to empty so the final reply gets out.
-      const auto droppable = [&](int fd, bool force) {
-        auto it = conns_.find(fd);
-        if (it == conns_.end()) return false;
-        Conn& c = *it->second;
-        {
-          std::lock_guard<std::mutex> lk(sched_mu_);
-          if (c.scheduled || !c.inbox.empty()) return false;
-        }
-        if (force) return true;
-        if (!c.close_after_flush) return false;
-        {
-          std::lock_guard<std::mutex> lk(c.out_mu);
-          if (!c.outgoing.empty()) return false;
-        }
-        return c.outbuf.empty();
-      };
-      for (int fd : defunct) {
-        if (droppable(fd, /*force=*/true)) to_drop.push_back(fd);
-      }
-      for (int fd : closing) {
-        if (defunct.count(fd) != 0) continue;
-        if (droppable(fd, /*force=*/false)) to_drop.push_back(fd);
-      }
-      DropConns(to_drop);
-      // Forget dropped fds everywhere: the kernel recycles fd numbers, so
-      // a stale tracking entry could condemn an unrelated new connection.
-      const auto sweep = [&](std::set<int>& s) {
-        for (auto it = s.begin(); it != s.end();) {
-          it = conns_.count(*it) == 0 ? s.erase(it) : std::next(it);
-        }
-      };
-      sweep(defunct);
-      sweep(closing);
-      sweep(gated);
-
-      // Connect/resend/flush the peer forward links once per pass: a
-      // commit this pass queued its foreign outs, so they go out (durable
-      // prefix only, in threaded mode) before we sleep.
-      PumpPeers();
-
-      // Checkpoint at a quiescent point: every logged entry is applied, so
-      // the snapshot and the fresh log form a consistent cut. (Threaded
-      // mode also checkpoints worker-side; this pass picks up entries
-      // appended on the I/O thread — drops, peer acks.)
-      if (!stop_ && ops_since_checkpoint_ >= options_.checkpoint_every_ops &&
-          !TakeCheckpoint() && log_fd_ < 0) {
-        // The rename committed but the fresh log would not open: any
-        // further mutation would be acknowledged yet lost from durable
-        // state. Stop serving. (A failure before the rename keeps the old
-        // checkpoint + log pair and the open log fd, so it is safe to
-        // retry next pass.)
-        wal_failed_ = true;
-        stop_ = true;
-      }
-    };
-    if (Threaded()) {
-      // The phase mutates conns_/peers_ structure and may checkpoint, so it
-      // needs the full scope (all stripes + ctrl) — but only when it has
-      // work to do. Gating keeps an idle epoll pass (200ms tick, pure
-      // read/flush traffic) from quiescing the whole worker pool.
-      const bool state_work =
-          accept_ready || !peer_read.empty() || !defunct.empty() ||
-          !closing.empty() || placement_.size() > 1 || partitioned_.load() ||
-          ops_since_checkpoint_.load() >= options_.checkpoint_every_ops;
-      if (state_work) {
-        StateLock state_lock(this);
-        state_phase();
-      }
-    } else {
-      state_phase();
     }
-  }
 
-  if (Threaded()) {
-    {
-      std::lock_guard<std::mutex> lk(sched_mu_);
-      workers_stop_ = true;
+    for (size_t k : peer_read) {
+      if (peers_[k].fd >= 0) ReadPeerAcks(k);
     }
-    sched_cv_.notify_all();
-    for (std::thread& w : workers_) w.join();
-    workers_.clear();
-    {
-      std::lock_guard<std::mutex> lk(log_mu_);
-      log_stop_ = true;
+
+    // Drops: a dead connection leaves now; close_after_flush waits for the
+    // outbuf to empty so the final reply gets out.
+    to_drop.assign(defunct.begin(), defunct.end());
+    for (int fd : closing) {
+      auto it = conns_.find(fd);
+      if (defunct.count(fd) == 0 && it != conns_.end() &&
+          it->second->outbuf.empty()) {
+        to_drop.push_back(fd);
+      }
     }
-    log_cv_.notify_all();
-    log_thread_.join();  // drains wal_pending_ (unless the WAL failed)
-    live_threaded_ = false;
-    // Final release: everything the last batch (or checkpoint) made
-    // durable moves to the outbufs. Replies still gated behind a failed
-    // WAL are discarded — they were never acknowledged.
-    for (auto& [fd, conn] : conns_) DrainOutgoing(*conn);
+    DropConns(to_drop);
+    defunct.clear();
+    // Forget dropped fds: the kernel recycles fd numbers, so a stale entry
+    // could condemn an unrelated new connection.
+    for (auto it = closing.begin(); it != closing.end();) {
+      it = conns_.count(*it) == 0 ? closing.erase(it) : std::next(it);
+    }
+
+    // Connect/resend/flush the peer forward links once per pass: a commit
+    // this pass queued its foreign outs, so they go out before we sleep.
+    PumpPeers();
+
+    // Checkpoint at a quiescent point: every logged entry is applied, so
+    // the snapshot and the fresh log form a consistent cut.
+    if (!stop_ && ops_since_checkpoint_ >= options_.checkpoint_every_ops &&
+        !TakeCheckpoint() && log_fd_ < 0) {
+      // The rename committed but the fresh log would not open: any
+      // further mutation would be acknowledged yet lost from durable
+      // state. Stop serving. (A failure before the rename keeps the old
+      // checkpoint + log pair and the open log fd, so it is safe to
+      // retry next pass.)
+      wal_failed_ = true;
+      stop_ = true;
+    }
   }
 
   // Best-effort blocking flush of pending replies (the SHUTDOWN ack). Safe
-  // even on a WAL failure: every released reply's entry was durable before
-  // the release, so nothing unlogged can be acknowledged here.
+  // even after an append failure: every queued reply's entry was written
+  // before the reply was queued. After a failed sync nothing more is sent.
+  const bool may_send = SyncWal();
   for (auto& [fd, conn] : conns_) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-    if (conn->outbuf_sent < conn->outbuf.size()) {
+    if (may_send && conn->outbuf_sent < conn->outbuf.size()) {
       WriteAll(fd, conn->outbuf.data() + conn->outbuf_sent,
                conn->outbuf.size() - conn->outbuf_sent);
     }
@@ -2853,8 +2212,6 @@ int SpaceServer::Serve() {
   listen_fd_ = -1;
   ::close(epoll_fd_);
   epoll_fd_ = -1;
-  ::close(wake_fd_);
-  wake_fd_ = -1;
   // Remove the socket path only if we bound it ourselves: a supervisor's
   // pre-bound listener (listen_fd inheritance) must keep its path so a
   // restarted server is reachable at the same address.

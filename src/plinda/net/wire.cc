@@ -89,7 +89,8 @@ bool ByteReader::TakeU32(uint32_t* v) {
   if (pos + 4 > data.size()) return false;
   const auto* p = reinterpret_cast<const unsigned char*>(data.data() + pos);
   *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-       (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+       (static_cast<uint32_t>(p[2]) << 16) |
+       (static_cast<uint32_t>(p[3]) << 24);
   pos += 4;
   return true;
 }
@@ -359,7 +360,6 @@ void EncodeReplyInto(const Reply& reply, std::string* out_ptr) {
   PutU64(reply.aborts, &out);
   PutU64(reply.checkpoints, &out);
   PutU64(reply.ops_replayed, &out);
-  PutU64(reply.cross_shard_ops, &out);
   PutU64(reply.batch_frames, &out);
   PutU64(reply.batched_ops, &out);
   PutU64(reply.publish_epoch, &out);
@@ -388,9 +388,6 @@ void EncodeReplyInto(const Reply& reply, std::string* out_ptr) {
   PutU64(reply.wal_synced_bytes, &out);
   PutU64(reply.transport_syscalls, &out);
   PutU64(reply.transport_bytes, &out);
-  PutU64(reply.state_lock_waits, &out);
-  PutU64(reply.stripe_conflicts, &out);
-  PutU64(reply.stripes, &out);
 }
 
 bool DecodeReply(std::string_view payload, Reply* reply, std::string* error) {
@@ -418,7 +415,6 @@ bool DecodeReply(std::string_view payload, Reply* reply, std::string* error) {
   if (!r.TakeU64(&reply->count) || !r.TakeU64(&reply->tuple_ops) ||
       !r.TakeU64(&reply->commits) || !r.TakeU64(&reply->aborts) ||
       !r.TakeU64(&reply->checkpoints) || !r.TakeU64(&reply->ops_replayed) ||
-      !r.TakeU64(&reply->cross_shard_ops) ||
       !r.TakeU64(&reply->batch_frames) || !r.TakeU64(&reply->batched_ops) ||
       !r.TakeU64(&reply->publish_epoch)) {
     return Fail(error, "reply: truncated counters");
@@ -484,10 +480,6 @@ bool DecodeReply(std::string_view payload, Reply* reply, std::string* error) {
   if (!r.TakeU64(&reply->transport_syscalls) ||
       !r.TakeU64(&reply->transport_bytes)) {
     return Fail(error, "reply: truncated transport counters");
-  }
-  if (!r.TakeU64(&reply->state_lock_waits) ||
-      !r.TakeU64(&reply->stripe_conflicts) || !r.TakeU64(&reply->stripes)) {
-    return Fail(error, "reply: truncated stripe counters");
   }
   if (!r.AtEnd()) return Fail(error, "reply: trailing bytes");
   return true;

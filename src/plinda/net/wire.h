@@ -279,7 +279,6 @@ struct Reply {
   uint64_t aborts = 0;
   uint64_t checkpoints = 0;
   uint64_t ops_replayed = 0;
-  uint64_t cross_shard_ops = 0;
   uint64_t batch_frames = 0;  // kBatch frames applied
   uint64_t batched_ops = 0;   // sub-ops carried by those frames
   // kStatus.
@@ -311,9 +310,9 @@ struct Reply {
   /// cross-server transactions this server coordinated.
   uint64_t txn_prepares = 0;
   uint64_t txn_cross_server = 0;
-  /// kStats: WAL group-commit observability — durable batches flushed
-  /// (writev + fdatasync; one per append in single-threaded mode) and the
-  /// log bytes those batches made durable.
+  /// kStats: WAL group-commit observability — group commits (one
+  /// fdatasync each with wal_sync, else one per append) and the log bytes
+  /// they covered.
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kStats: transport-level I/O — syscalls the server spent moving bytes
@@ -321,13 +320,6 @@ struct Reply {
   /// moved.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
-  /// kStats: striped-lock observability — times a worker found a stripe or
-  /// control mutex contended (state_lock_waits), times a fast-path request
-  /// had to escalate to the all-stripes scope or collide on the full lock
-  /// (stripe_conflicts), and the server's stripe count.
-  uint64_t state_lock_waits = 0;
-  uint64_t stripe_conflicts = 0;
-  uint64_t stripes = 0;
 };
 
 std::string EncodeReply(const Reply& reply);

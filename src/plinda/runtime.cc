@@ -211,10 +211,14 @@ std::string ToString(const RuntimeError& error) {
     case RuntimeError::Code::kBadEndpoint:
       what = "malformed server endpoint or unsupported transport";
       break;
+    case RuntimeError::Code::kBadOption:
+      what = "unsupported runtime option";
+      break;
   }
   char buf[256];
-  std::snprintf(buf, sizeof(buf), "[t=%8.2f] protocol error in %s (pid %d): %s%s%s",
-                error.time, error.process.c_str(), error.pid, what,
+  std::snprintf(buf, sizeof(buf),
+                "[t=%8.2f] protocol error in %s (pid %d): %s%s%s", error.time,
+                error.process.c_str(), error.pid, what,
                 error.detail.empty() ? "" : " — ", error.detail.c_str());
   return buf;
 }
@@ -320,7 +324,8 @@ int Runtime::SpawnOn(const std::string& name, int machine, ProcessFn fn) {
 int Runtime::PickMachineLocked() const {
   std::vector<int> load(machines_.size(), 0);
   for (const auto& proc : procs_) {
-    if (proc->state == ProcState::kReady || proc->state == ProcState::kBlocked) {
+    if (proc->state == ProcState::kReady ||
+        proc->state == ProcState::kBlocked) {
       ++load[static_cast<size_t>(proc->machine)];
     }
   }
@@ -514,7 +519,8 @@ void Runtime::BuildDiagnosticLocked() {
       }
       out += recovery_pending
                  ? "  tuple-space server is down (recovery still scheduled)\n"
-                 : "  tuple-space server is down and no recovery is scheduled\n";
+                 : "  tuple-space server is down and no recovery is "
+                   "scheduled\n";
     }
   }
   for (const RuntimeError& error : errors_) {
@@ -940,7 +946,8 @@ void Runtime::OpCompute(Proc* proc, double work_units) {
     return;
   }
   std::unique_lock<std::mutex> lock(mu_);
-  proc->clock += work_units / machines_[static_cast<size_t>(proc->machine)].speed;
+  proc->clock +=
+      work_units / machines_[static_cast<size_t>(proc->machine)].speed;
   proc->work_done += work_units;
   stats_.total_work += work_units;
   Yield(proc, lock);
@@ -1253,7 +1260,9 @@ int Runtime::RealSpawn(Proc* proc, const std::string& name, ProcessFn fn) {
 
 // --- ProcessContext forwarding -------------------------------------------
 
-void ProcessContext::Out(Tuple tuple) { runtime_->OpOut(proc_, std::move(tuple)); }
+void ProcessContext::Out(Tuple tuple) {
+  runtime_->OpOut(proc_, std::move(tuple));
+}
 
 void ProcessContext::In(const Template& tmpl, Tuple* result) {
   runtime_->OpIn(proc_, tmpl, result, /*blocking=*/true, /*remove=*/true);
@@ -1280,7 +1289,8 @@ void ProcessContext::XCommit() {
 }
 
 void ProcessContext::XCommit(Tuple continuation) {
-  runtime_->OpXCommit(proc_, /*has_continuation=*/true, std::move(continuation));
+  runtime_->OpXCommit(proc_, /*has_continuation=*/true,
+                      std::move(continuation));
 }
 
 bool ProcessContext::XRecover(Tuple* continuation) {

@@ -89,9 +89,6 @@ struct RuntimeOptions {
   double server_restart_delay = 2.0;
   /// Safety valve: abort the simulation after this many scheduler steps.
   uint64_t max_steps = 200'000'000;
-  /// kDistributed: shard count inside the tuple-space server process
-  /// (single-threaded; sharding only bounds bucket-map sizes).
-  int distributed_shards = 1;
   /// kDistributed: number of tuple-space *server processes*. The (arity,
   /// first-key) buckets are statically placed across them by hash
   /// (net::PlacementIndex); each server keeps its own write-ahead log and
@@ -139,11 +136,21 @@ struct RuntimeOptions {
   /// write, so the server process exits fatally (exit code 1). The
   /// supervisor must fail the run with a structured kServerDead error.
   int distributed_wal_fail_after = 0;
-  /// kDistributed: worker threads per shard server. 0 = server default
-  /// (FPDM_SERVER_THREADS env, else min(4, hardware cores)); 1 = the
-  /// single-threaded serve loop (bit-identical legacy path); N > 1 = epoll
-  /// I/O thread + N strand workers + a group-commit WAL writer.
+  /// kDistributed: accepts only 0 or 1, both meaning the one event loop
+  /// every shard server runs; any other value fails Run() with a kBadOption
+  /// error naming this field. Use distributed_servers to spread the space
+  /// over more cores. Kept for callers that still pin it to 1; it goes
+  /// once they stop.
   int distributed_server_threads = 0;
+  /// kDistributed: the shard servers' WAL durability contract (see
+  /// net::SpaceServerOptions::wal_sync). false (default): one write() per
+  /// logged mutation, which survives SIGKILL of a server — the fault the
+  /// chaos harness injects. true: also one fdatasync per serve-loop pass
+  /// (group commit) before any reply or peer message it covers leaves the
+  /// server, which survives power loss. Results are identical either way.
+  /// The distributed test suites read FPDM_TEST_WAL_SYNC=host into this
+  /// option; the runtime itself never consults the environment.
+  bool distributed_wal_sync = false;
   /// kDistributed transport between workers and shard servers: "unix"
   /// (default; sockets under distributed_dir), "tcp" (loopback TCP; the
   /// supervisor pre-binds every listener with port 0 before forking, so the
@@ -230,6 +237,10 @@ struct RuntimeError {
     /// <port>" string, or an unsupported distributed_transport value.
     /// Detail carries the offending string.
     kBadEndpoint,
+    /// kDistributed: a RuntimeOptions value the runtime does not support
+    /// (e.g. distributed_server_threads other than 0 or 1). Detail names
+    /// the field and the value.
+    kBadOption,
   };
   Code code = Code::kXCommitWithoutXStart;
   double time = 0;
@@ -291,11 +302,10 @@ struct RuntimeStats {
   /// ins shared its coordinator (the fast path skips the prepare round).
   uint64_t dist_txn_prepares = 0;
   uint64_t dist_txn_cross_server = 0;
-  /// kDistributed: group-commit WAL batches the shard servers wrote and the
-  /// WAL bytes they made durable, summed over the servers.
-  /// wal_synced_bytes / wal_group_commits is the mean batch size; with one
-  /// thread each batch is a single entry (the legacy write-per-mutation
-  /// path), with workers it measures how well group commit coalesces.
+  /// kDistributed: WAL group commits of the shard servers and the WAL bytes
+  /// they covered, summed over the servers. Without distributed_wal_sync
+  /// each append is its own group; with it, one fdatasync is one group, and
+  /// wal_synced_bytes / wal_group_commits measures how well it coalesces.
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kDistributed: transport-level I/O summed over the shard servers —
@@ -303,14 +313,6 @@ struct RuntimeStats {
   /// moved. transport_syscalls / tuple ops is the per-op syscall cost.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
-  /// kDistributed: striped-lock contention summed over the shard servers —
-  /// times a worker found a stripe or control mutex already held
-  /// (state_lock_waits) and times a request escalated to or collided on the
-  /// all-stripes scope (stripe_conflicts). Both stay 0 with one stripe or
-  /// one worker thread; under load they measure how much of the apply path
-  /// actually ran in parallel.
-  uint64_t state_lock_waits = 0;
-  uint64_t stripe_conflicts = 0;
 };
 
 /// A PLinda network of workstations, in one of two execution modes.
@@ -555,7 +557,8 @@ class Runtime {
   /// its body) exactly as a killed process does.
   void FinishFibersLocked(std::unique_lock<std::mutex>& lock);
   void ApplyEventLocked(const Event& event, std::unique_lock<std::mutex>& lock);
-  void KillProcLocked(Proc* proc, double time, std::unique_lock<std::mutex>& lock);
+  void KillProcLocked(Proc* proc, double time,
+                      std::unique_lock<std::mutex>& lock);
   void RespawnLocked(Proc* proc, double time);
   void WakeBlockedLocked(double time);
   void AbortTxnLocked(Proc* proc, double time);

@@ -454,6 +454,14 @@ bool Runtime::RunDistributed() {
         "unsupported distributed_transport \"" + transport +
             "\" (expected \"unix\" or \"tcp\")");
   }
+  const int threads = options_.distributed_server_threads;
+  if (threads != 0 && threads != 1) {
+    return fail_structured(
+        RuntimeError::Code::kBadOption,
+        "unsupported distributed_server_threads " + std::to_string(threads) +
+            " (expected 0 or 1: each shard server runs one event loop; "
+            "raise distributed_servers to use more cores)");
+  }
   std::vector<std::string> placement;
   placement.reserve(static_cast<size_t>(num_servers));
   // TCP: pre-bound listeners, inherited through fork (FD_CLOEXEC keeps
@@ -514,7 +522,6 @@ bool Runtime::RunDistributed() {
     // under FPDM_TEST_KEEP_STATE is debuggable from the CI artifact alone.
     sopts.stderr_file = dist_dir_ + "/server." + std::to_string(k) + ".stderr";
     sopts.state_dir = dist_dir_ + "/state." + std::to_string(k);
-    sopts.num_shards = std::max(1, options_.distributed_shards);
     sopts.checkpoint_every_ops =
         std::max(1, options_.distributed_checkpoint_ops);
     sopts.server_index = k;
@@ -522,7 +529,7 @@ bool Runtime::RunDistributed() {
     sopts.die_in_doubt_after = options_.distributed_die_in_doubt_after;
     sopts.die_after_prepared = options_.distributed_die_after_prepared;
     sopts.wal_fail_after = options_.distributed_wal_fail_after;
-    sopts.threads = options_.distributed_server_threads;
+    sopts.wal_sync = options_.distributed_wal_sync;
     return sopts;
   };
 
@@ -531,7 +538,8 @@ bool Runtime::RunDistributed() {
   std::vector<double> server_down_at(static_cast<size_t>(num_servers), 0.0);
   bool fatal = false;
   for (int k = 0; k < num_servers; ++k) {
-    server_pids[static_cast<size_t>(k)] = net::ForkServerProcess(server_opts(k));
+    server_pids[static_cast<size_t>(k)] =
+        net::ForkServerProcess(server_opts(k));
     server_ok[static_cast<size_t>(k)] =
         server_pids[static_cast<size_t>(k)] > 0 &&
         net::WaitForEndpoint(placement[static_cast<size_t>(k)], 10.0);
@@ -1256,7 +1264,6 @@ bool Runtime::RunDistributed() {
       stats_.transactions_aborted += server_stats.aborts;
       stats_.server_checkpoints += server_stats.checkpoints;
       stats_.server_ops_replayed += server_stats.ops_replayed;
-      stats_.cross_shard_ops += server_stats.cross_shard_ops;
       stats_.batch_frames += server_stats.batch_frames;
       stats_.batched_tuple_ops += server_stats.batched_ops;
       stats_.dist_txn_prepares += server_stats.txn_prepares;
@@ -1265,8 +1272,6 @@ bool Runtime::RunDistributed() {
       stats_.wal_synced_bytes += server_stats.wal_synced_bytes;
       stats_.transport_syscalls += server_stats.transport_syscalls;
       stats_.transport_bytes += server_stats.transport_bytes;
-      stats_.state_lock_waits += server_stats.state_lock_waits;
-      stats_.stripe_conflicts += server_stats.stripe_conflicts;
       for (Tuple& tuple : leg_take[static_cast<size_t>(k)].tuples) {
         space_.Out(std::move(tuple));
       }

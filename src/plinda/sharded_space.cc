@@ -25,9 +25,9 @@ ShardedTupleSpace::ShardedTupleSpace(int num_shards) {
 
 size_t ShardedTupleSpace::ShardIndex(const BucketKeyView& key) const {
   // Shared routing function (tuple_space.h): in-process shard striping uses
-  // the same deterministic mix as the server stripes and the multi-server
-  // placement. Any hash works semantically — matching is FIFO on a global
-  // sequence — but one function means one place to reason about skew.
+  // the same deterministic mix as the multi-server placement. Any hash
+  // works semantically — matching is FIFO on a global sequence — but one
+  // function means one place to reason about skew.
   return BucketStripeIndex(key, shards_.size());
 }
 

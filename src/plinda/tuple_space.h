@@ -46,9 +46,9 @@ bool SingleBucketKeyFor(const Template& tmpl, BucketKeyView* key);
 
 /// Deterministic bucket→stripe index: FNV-1a over the key string mixed with
 /// the arity, reduced mod `n`. This is the one routing function shared by
-/// every striped layer — the in-process ShardedTupleSpace, the server's
-/// stripe map, and the multi-server PlacementIndex — so a bucket lands on
-/// the same stripe/server across restarts and across layers.
+/// the in-process ShardedTupleSpace and the multi-server PlacementIndex, so
+/// a bucket lands on the same shard/server across restarts and across
+/// layers.
 size_t BucketStripeIndex(const BucketKeyView& key, size_t n);
 
 /// The associative shared memory of Linda. Not thread-safe by itself: the
@@ -114,12 +114,13 @@ class TupleSpace {
     uint64_t sequence;
   };
 
-  // Tuples are bucketed by (arity, first-field string key) so that the common
-  // case — templates whose first field is an actual string tag like "task" —
-  // avoids scanning unrelated tuples. Tuples whose first field is not a
-  // string live in the bucket with an empty key and are also consulted by
-  // formal-first-field templates. The comparator is transparent: lookups
-  // probe with BucketKeyView and never build a std::string.
+  // Tuples are bucketed by (arity, first-field string key) so that the
+  // common case — templates whose first field is an actual string tag like
+  // "task" — avoids scanning unrelated tuples. Tuples whose first field is
+  // not a string live in the bucket with an empty key and are also
+  // consulted by formal-first-field templates. The comparator is
+  // transparent: lookups probe with BucketKeyView and never build a
+  // std::string.
   using Bucket = std::list<Stored>;
   using BucketMap = std::map<BucketKey, Bucket, BucketKeyLess>;
 

@@ -56,12 +56,22 @@ std::string TestTransport() {
   return env;
 }
 
+/// WAL durability contract for the distributed runs: FPDM_TEST_WAL_SYNC=host
+/// in the environment sets RuntimeOptions::distributed_wal_sync (CI runs
+/// the multi-server and tcp steps that way), anything else keeps the
+/// default write-only WAL.
+bool TestWalSync() {
+  const char* env = std::getenv("FPDM_TEST_WAL_SYNC");
+  return env != nullptr && std::string(env) == "host";
+}
+
 RuntimeOptions DistOptions(int servers = 0) {
   RuntimeOptions options;
   options.mode = ExecutionMode::kDistributed;
   options.distributed_checkpoint_ops = 8;  // several checkpoints per run
   options.distributed_servers = servers > 0 ? servers : TestServers();
   options.distributed_transport = TestTransport();
+  options.distributed_wal_sync = TestWalSync();
   return options;
 }
 
@@ -610,6 +620,7 @@ TEST(DistributedChaosTest, MinerSurvivesWorkerKillWithIdenticalResults) {
   core::ParallelOptions faulty = reference;
   faulty.execution_mode = ExecutionMode::kDistributed;
   faulty.runtime.distributed_transport = TestTransport();
+  faulty.runtime.distributed_wal_sync = TestWalSync();
   // Wall-clock kill early in the run; worker 1's open task transaction
   // rolls back and the worker respawns on an up machine. Whether the kill
   // lands mid-task or after the run's tail is timing-dependent — the

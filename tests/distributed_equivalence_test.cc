@@ -43,6 +43,15 @@ std::string TestTransport() {
   return env;
 }
 
+/// WAL durability contract for the distributed runs: FPDM_TEST_WAL_SYNC=host
+/// in the environment sets RuntimeOptions::distributed_wal_sync (CI runs
+/// the multi-server and tcp steps that way), anything else keeps the
+/// default write-only WAL.
+bool TestWalSync() {
+  const char* env = std::getenv("FPDM_TEST_WAL_SYNC");
+  return env != nullptr && std::string(env) == "host";
+}
+
 void ExpectSameMining(const core::ParallelResult& sim,
                       const core::ParallelResult& dist,
                       const std::string& label) {
@@ -70,6 +79,7 @@ core::ParallelResult RunMode(const core::MiningProblem& problem,
   options.num_workers = 4;
   options.runtime.distributed_servers = TestServers();
   options.runtime.distributed_transport = TestTransport();
+  options.runtime.distributed_wal_sync = TestWalSync();
   return core::MineParallel(problem, options);
 }
 
@@ -115,6 +125,7 @@ TEST(DistributedEquivalenceTest, BatchingOnAndOffAreBitIdentical) {
     options.runtime.distributed_batching = batching;
     options.runtime.distributed_servers = TestServers();
     options.runtime.distributed_transport = TestTransport();
+    options.runtime.distributed_wal_sync = TestWalSync();
     return core::MineParallel(problem, options);
   };
   const core::ParallelResult sim =
@@ -157,6 +168,7 @@ TEST(DistributedEquivalenceTest, MultiServerPlacementBitIdentical) {
     options.runtime.distributed_servers = servers;
     options.runtime.distributed_batching = batching;
     options.runtime.distributed_transport = TestTransport();
+    options.runtime.distributed_wal_sync = TestWalSync();
     return core::MineParallel(problem, options);
   };
   const core::ParallelResult sim =
@@ -210,6 +222,7 @@ TEST(DistributedEquivalenceTest, CrossServerTransactionsBitIdentical) {
     options.mode = mode;
     options.distributed_servers = servers;
     options.distributed_transport = TestTransport();
+    options.distributed_wal_sync = TestWalSync();
     plinda::Runtime runtime(1, options);
     for (int64_t i = 0; i < kTasks; ++i) {
       runtime.space().Out(plinda::MakeTuple("t" + std::to_string(i), i));
@@ -280,6 +293,7 @@ TEST(DistributedEquivalenceTest, TransportTcpBitIdentical) {
     options.num_workers = 4;
     options.runtime.distributed_servers = servers;
     options.runtime.distributed_transport = transport;
+    options.runtime.distributed_wal_sync = TestWalSync();
     return core::MineParallel(problem, options);
   };
   const core::ParallelResult sim =
@@ -338,6 +352,7 @@ TEST(DistributedEquivalenceTest, NyuMinerCvTree) {
     exec.num_workers = 4;
     exec.execution_mode = mode;
     exec.runtime.distributed_transport = TestTransport();
+    exec.runtime.distributed_wal_sync = TestWalSync();
     return classify::ParallelNyuMinerCV(data, data.AllRows(), options, exec);
   };
   const classify::ParallelTreeResult sim =
@@ -367,6 +382,7 @@ TEST(DistributedEquivalenceTest, C45WindowedTree) {
     exec.num_workers = 3;
     exec.execution_mode = mode;
     exec.runtime.distributed_transport = TestTransport();
+    exec.runtime.distributed_wal_sync = TestWalSync();
     return classify::ParallelC45(data, data.AllRows(), options, exec);
   };
   const classify::ParallelTreeResult sim =

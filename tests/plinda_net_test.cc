@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -92,14 +93,10 @@ TEST(WireCodecTest, ReplyRoundTrip) {
   reply.aborts = 2;
   reply.checkpoints = 3;
   reply.ops_replayed = 8;
-  reply.cross_shard_ops = 1;
   reply.publish_epoch = 99;
   reply.parked = {{2, true, "(\"task\", ?int)"}, {5, false, "(\"x\")"}};
   reply.wal_group_commits = 41;
   reply.wal_synced_bytes = 12345;
-  reply.state_lock_waits = 7;
-  reply.stripe_conflicts = 9;
-  reply.stripes = 8;
   reply.error = "";
   std::string error;
   Reply back;
@@ -119,9 +116,6 @@ TEST(WireCodecTest, ReplyRoundTrip) {
   EXPECT_FALSE(back.parked[1].remove);
   EXPECT_EQ(back.wal_group_commits, 41u);
   EXPECT_EQ(back.wal_synced_bytes, 12345u);
-  EXPECT_EQ(back.state_lock_waits, 7u);
-  EXPECT_EQ(back.stripe_conflicts, 9u);
-  EXPECT_EQ(back.stripes, 8u);
 }
 
 TEST(WireCodecTest, LogEntryRoundTrip) {
@@ -401,7 +395,6 @@ class NetIntegrationTest : public ::testing::Test {
     ASSERT_FALSE(dir_.empty());
     sopts_.endpoint = dir_ + "/space.sock";
     sopts_.state_dir = dir_ + "/state";
-    sopts_.num_shards = 2;
     sopts_.checkpoint_every_ops = 4;  // force checkpoints in short tests
     StartServer();
   }
@@ -471,9 +464,15 @@ class RawClient {
     }
   }
 
-  bool Send(const Request& request) {
+  bool Send(const Request& request) { return SendBurst({request}); }
+
+  /// Frames every request into one buffer and writes it with one send(),
+  /// so the server reads the whole burst in one serve-loop pass.
+  bool SendBurst(const std::vector<Request>& requests) {
     std::string framed;
-    AppendFrame(EncodeRequest(request), &framed);
+    for (const Request& request : requests) {
+      AppendFrame(EncodeRequest(request), &framed);
+    }
     size_t off = 0;
     while (off < framed.size()) {
       const ssize_t w = ::send(fd_, framed.data() + off, framed.size() - off,
@@ -1493,7 +1492,6 @@ TEST_F(NetIntegrationTest, BatchedMutationsSurviveServerCrashRecovery) {
 RuntimeOptions DistOptions() {
   RuntimeOptions options;
   options.mode = ExecutionMode::kDistributed;
-  options.distributed_shards = 2;
   return options;
 }
 
@@ -2409,7 +2407,7 @@ TEST_F(ShardedNetIntegrationTest, XRecoverScatterReturnsNewestContinuation) {
 }
 
 // ---------------------------------------------------------------------------
-// Short-write stress (tiny SO_SNDBUF) and threaded-serve equivalence
+// Short-write stress (tiny SO_SNDBUF), sync-mode equivalence and group commit
 // ---------------------------------------------------------------------------
 
 TEST_F(NetIntegrationTest, TinySndbufShortWritesLoseNoReplyBytes) {
@@ -2502,15 +2500,17 @@ TEST_F(ShortWriteShardedNetTest, PeerForwardsSurviveShortWrites) {
   client.Bye();
 }
 
-TEST_F(NetIntegrationTest, ThreadedServeAnswersByteIdenticalToSingle) {
-  // One scripted client session, replayed against a single-threaded server
-  // and a 4-worker threaded server on fresh state: the raw reply streams
-  // must match byte for byte (the threaded loop keeps per-connection FIFO
-  // through the strand scheduler and the durability-gated release).
-  const auto run = [&](int threads, std::vector<std::string>* replies) {
+TEST_F(NetIntegrationTest, SessionRepliesByteIdenticalAcrossSyncModes) {
+  // One scripted client session, replayed against a wal_sync=false and a
+  // wal_sync=true server on fresh state: the raw reply streams must match
+  // byte for byte. The sync mode decides when the WAL reaches the disk,
+  // never what a client is told. The session covers plain and
+  // multi-bucket batch traffic, formal-first (all-bucket) matching and
+  // transactions, so matching order is pinned too.
+  const auto run = [&](bool wal_sync, std::vector<std::string>* replies) {
     StopServer();
-    sopts_.threads = threads;
-    sopts_.state_dir = dir_ + "/state.t" + std::to_string(threads);
+    sopts_.wal_sync = wal_sync;
+    sopts_.state_dir = dir_ + "/state.sync" + (wal_sync ? "1" : "0");
     StartServer();
     RawClient c(sopts_.endpoint);
     ASSERT_TRUE(c.ok());
@@ -2574,57 +2574,19 @@ TEST_F(NetIntegrationTest, ThreadedServeAnswersByteIdenticalToSingle) {
     miss.seq = ++seq;
     miss.tmpl = MakeTemplate(A("missing"), F(ValueType::kInt));
     roundtrip(miss);  // kNotFound is part of the stream too
-  };
-  std::vector<std::string> single;
-  std::vector<std::string> threaded;
-  run(1, &single);
-  run(4, &threaded);
-  ASSERT_EQ(single.size(), threaded.size());
-  for (size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(single[i], threaded[i]) << "reply " << i;
-  }
-}
-
-TEST_F(NetIntegrationTest, StripedServeAnswersByteIdenticalToSingle) {
-  // The multi-stripe twin of the byte-identity gate above: 8 stripes, a
-  // scripted session whose ops land on many distinct stripes and whose
-  // formal-first templates cross all of them. threads=1 runs the identical
-  // algorithm with every StateLock a no-op, so the raw reply stream of the
-  // 4-worker striped server must match it byte for byte — per-conn FIFO and
-  // dedup survive cross-stripe interleaving.
-  const auto run = [&](int threads, std::vector<std::string>* replies) {
-    StopServer();
-    sopts_.threads = threads;
-    sopts_.num_shards = 8;
-    sopts_.state_dir = dir_ + "/state.s" + std::to_string(threads);
-    StartServer();
-    RawClient c(sopts_.endpoint);
-    ASSERT_TRUE(c.ok());
-    const auto roundtrip = [&](const Request& req) {
-      ASSERT_TRUE(c.Send(req));
-      std::string raw;
-      ASSERT_TRUE(c.ReceiveRaw(&raw));
-      replies->push_back(std::move(raw));
-    };
-    Request hello;
-    hello.op = Op::kHello;
-    hello.pid = 11;
-    roundtrip(hello);
-    uint64_t seq = 0;
-    // Outs spread over 8 distinct keys: distinct buckets, so on the
-    // threaded server most are fast-path single-stripe applies.
+    // Outs over 8 distinct keys, then a batch whose sub-ops span several
+    // buckets.
     for (int i = 0; i < 8; ++i) {
       Request out;
       out.op = Op::kOut;
-      out.pid = 11;
+      out.pid = 9;
       out.seq = ++seq;
       out.tuple = MakeTuple("k" + std::to_string(i), i);
       roundtrip(out);
     }
-    // A batch whose sub-ops span several stripes: one multi-stripe scope.
     Request batch;
     batch.op = Op::kBatch;
-    batch.pid = 11;
+    batch.pid = 9;
     batch.seq = ++seq;
     for (int i = 0; i < 4; ++i) {
       BatchOp sub;
@@ -2640,68 +2602,125 @@ TEST_F(NetIntegrationTest, StripedServeAnswersByteIdenticalToSingle) {
       batch.batch.push_back(sub);
     }
     roundtrip(batch);
-    // Formal-first count and takes: the all-stripes slow path, whose
-    // matching order must not depend on the worker count.
-    Request cnt;
-    cnt.op = Op::kCount;
-    cnt.pid = 11;
-    cnt.seq = ++seq;
-    cnt.tmpl = MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
-    roundtrip(cnt);
+    // Formal-first count and takes: they match across every bucket, in
+    // the space's global FIFO order.
+    Request formal_cnt;
+    formal_cnt.op = Op::kCount;
+    formal_cnt.pid = 9;
+    formal_cnt.seq = ++seq;
+    formal_cnt.tmpl = MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
+    roundtrip(formal_cnt);
     for (int i = 0; i < 4; ++i) {
-      Request take;
-      take.op = Op::kIn;
-      take.pid = 11;
-      take.seq = ++seq;
-      take.flags = kInRemove;
-      take.tmpl = MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
-      roundtrip(take);
+      Request formal_take;
+      formal_take.op = Op::kIn;
+      formal_take.pid = 9;
+      formal_take.seq = ++seq;
+      formal_take.flags = kInRemove;
+      formal_take.tmpl =
+          MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
+      roundtrip(formal_take);
     }
-    // A transaction whose take and commit outs touch different stripes.
-    Request xstart;
-    xstart.op = Op::kXStart;
-    xstart.pid = 11;
-    xstart.seq = ++seq;
-    roundtrip(xstart);
-    Request take;
-    take.op = Op::kIn;
-    take.pid = 11;
-    take.seq = ++seq;
-    take.flags = kInRemove;
-    take.tmpl = MakeTemplate(A("k5"), F(ValueType::kInt));
-    roundtrip(take);
-    Request commit;
-    commit.op = Op::kXCommit;
-    commit.pid = 11;
-    commit.seq = ++seq;
-    commit.outs = {MakeTuple("r1", 1), MakeTuple("r2", 2)};
-    roundtrip(commit);
-    Request cnt2 = cnt;
-    cnt2.seq = ++seq;
-    roundtrip(cnt2);
+    // A transaction whose take and commit outs touch different buckets.
+    Request xstart2 = xstart;
+    xstart2.seq = ++seq;
+    roundtrip(xstart2);
+    Request k5_take;
+    k5_take.op = Op::kIn;
+    k5_take.pid = 9;
+    k5_take.seq = ++seq;
+    k5_take.flags = kInRemove;
+    k5_take.tmpl = MakeTemplate(A("k5"), F(ValueType::kInt));
+    roundtrip(k5_take);
+    Request commit2;
+    commit2.op = Op::kXCommit;
+    commit2.pid = 9;
+    commit2.seq = ++seq;
+    commit2.outs = {MakeTuple("r1", 1), MakeTuple("r2", 2)};
+    roundtrip(commit2);
+    Request formal_cnt2 = formal_cnt;
+    formal_cnt2.seq = ++seq;
+    roundtrip(formal_cnt2);
   };
-  std::vector<std::string> single;
-  std::vector<std::string> striped;
-  run(1, &single);
-  run(4, &striped);
-  ASSERT_EQ(single.size(), striped.size());
-  for (size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(single[i], striped[i]) << "reply " << i;
+  std::vector<std::string> process;
+  std::vector<std::string> host;
+  run(false, &process);
+  run(true, &host);
+  ASSERT_FALSE(process.empty());
+  ASSERT_EQ(process.size(), host.size());
+  for (size_t i = 0; i < process.size(); ++i) {
+    EXPECT_EQ(process[i], host[i]) << "reply " << i;
   }
 }
 
-TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
-  // Contention harness for the striped apply path: a 4-worker server with 8
-  // stripes and 8 client threads arranged in a ring. Each thread produces
-  // for its neighbour's key and blocking-takes from its own, so every
-  // wakeup crosses stripes; a pipelined multi-stripe batch and a small
-  // transaction ride along, and checkpoint_every_ops=4 forces constant
-  // full-scope quiesces between fast-path applies. Under TSan this is the
-  // data-race gate for the striped locks; the checks below are the
-  // functional gate (per-bucket FIFO + a fully drained space).
+TEST_F(NetIntegrationTest, SyncHostGroupsConcurrentAppends) {
+  // wal_sync=true syncs once per serve-loop pass, so appends that arrive
+  // together share one fdatasync. Eight clients each write a HELLO and
+  // then 16 outs in a single burst, concurrently: the server must finish
+  // with fewer group commits than the mutating requests it served.
   StopServer();
-  sopts_.threads = 4;
-  sopts_.num_shards = 8;
+  sopts_.wal_sync = true;
+  sopts_.state_dir = dir_ + "/state.group";
+  StartServer();
+  constexpr int kClients = 8;
+  constexpr int kOuts = 16;
+  std::vector<std::thread> fleet;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kClients; ++c) {
+    fleet.emplace_back([&, c] {
+      RawClient client(sopts_.endpoint);
+      Request hello;
+      hello.op = Op::kHello;
+      hello.pid = c + 1;
+      Reply reply;
+      if (!client.ok() || !client.Send(hello) || !client.Receive(&reply) ||
+          reply.status != WireStatus::kOk) {
+        ++failures;
+        return;
+      }
+      std::vector<Request> burst;
+      for (int i = 0; i < kOuts; ++i) {
+        Request out;
+        out.op = Op::kOut;
+        out.pid = c + 1;
+        out.seq = static_cast<uint64_t>(i + 1);
+        out.tuple = MakeTuple("g" + std::to_string(c), i);
+        burst.push_back(std::move(out));
+      }
+      if (!client.SendBurst(burst)) {
+        ++failures;
+        return;
+      }
+      for (int i = 0; i < kOuts; ++i) {
+        if (!client.Receive(&reply) || reply.status != WireStatus::kOk) {
+          ++failures;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : fleet) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  RawClient ctl(sopts_.endpoint);
+  Request stats_req;
+  stats_req.op = Op::kStats;
+  Reply stats;
+  ASSERT_TRUE(ctl.Send(stats_req));
+  ASSERT_TRUE(ctl.Receive(&stats));
+  constexpr uint64_t kMutating = kClients * (1 + kOuts);
+  EXPECT_GT(stats.wal_group_commits, 0u);
+  EXPECT_LT(stats.wal_group_commits, kMutating);
+  EXPECT_EQ(stats.tuple_ops, static_cast<uint64_t>(kClients * kOuts));
+}
+
+TEST_F(NetIntegrationTest, StressManyClientsKeepFifoAndDrain) {
+  // Eight client threads arranged in a ring against a wal_sync=true
+  // server. Each thread produces for its neighbour's key and
+  // blocking-takes from its own, so every wakeup crosses buckets; a
+  // pipelined multi-bucket batch and a small transaction ride along, and
+  // checkpoint_every_ops=4 forces a synced checkpoint every few passes.
+  // The checks are per-bucket FIFO and a fully drained space.
+  StopServer();
+  sopts_.wal_sync = true;
   sopts_.state_dir = dir_ + "/state.stress";
   StartServer();
   constexpr int kClients = 8;
@@ -2731,13 +2750,13 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
           return;
         }
         // Ring FIFO: this key's single producer outs values in order, and
-        // the striped server must preserve per-bucket FIFO matching.
+        // the server must preserve per-bucket FIFO matching.
         if (std::get<int64_t>(got.fields[1]) != expect++) {
           ++failures;
           return;
         }
       }
-      // Pipelined multi-stripe batch: 4 outs on distinct keys + 4 takes.
+      // Pipelined multi-bucket batch: 4 outs on distinct keys + 4 takes.
       for (int i = 0; i < 4; ++i) {
         if (client.BatchOut(MakeTuple(self + "b" + std::to_string(i), i)) !=
             CallStatus::kOk) {
@@ -2757,8 +2776,8 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
         ++failures;
         return;
       }
-      // A transaction: tentative take on one stripe, commit outs landing on
-      // another, then consume the committed tuple.
+      // A transaction: tentative take on one bucket, commit outs landing
+      // on another, then consume the committed tuple.
       if (client.Out(MakeTuple(self + "t", 0)) != CallStatus::kOk ||
           client.XStart() != CallStatus::kOk) {
         ++failures;
@@ -2788,8 +2807,8 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
   }
   for (std::thread& t : fleet) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // The space must be fully drained, and STATS must report the stripe count
-  // end to end over the wire.
+  // The space must be fully drained, and STATS must report the synced
+  // group commits end to end over the wire.
   RemoteTupleSpace ctl(ClientOptions(99));
   ASSERT_TRUE(ctl.Connect());
   uint64_t leftovers = 0;
@@ -2799,7 +2818,7 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
   EXPECT_EQ(leftovers, 0u);
   Reply stats;
   ASSERT_EQ(ctl.Stats(&stats), CallStatus::kOk);
-  EXPECT_EQ(stats.stripes, 8u);
+  EXPECT_GT(stats.wal_group_commits, 0u);
   ctl.Bye();
 }
 
@@ -2968,7 +2987,6 @@ class TcpIntegrationTest : public ::testing::Test {
     sopts_.endpoint = "tcp:127.0.0.1:0";
     sopts_.resolved_endpoint_file = dir_ + "/endpoint";
     sopts_.state_dir = dir_ + "/state";
-    sopts_.num_shards = 2;
     sopts_.checkpoint_every_ops = 4;
     server_pid_ = ForkServerProcess(sopts_);
     ASSERT_GT(server_pid_, 0);
@@ -3100,6 +3118,47 @@ TEST(DistributedRuntimeTest, UnsupportedTransportFailsStructurally) {
               std::string::npos)
         << runtime.errors()[0].detail;
   }
+}
+
+TEST(DistributedRuntimeTest, UnsupportedServerThreadsFailsStructurally) {
+  // Every shard server runs one event loop: a thread count other than 0 or
+  // 1 must fail the run up front with a structured kBadOption error naming
+  // the option, before any server is forked.
+  RuntimeOptions options;
+  options.mode = ExecutionMode::kDistributed;
+  options.distributed_server_threads = 4;
+  Runtime runtime(1, options);
+  runtime.SpawnOn("idle", 0, [](ProcessContext&) {});
+  EXPECT_FALSE(runtime.Run());
+  ASSERT_FALSE(runtime.errors().empty());
+  EXPECT_EQ(runtime.errors()[0].code, RuntimeError::Code::kBadOption);
+  EXPECT_NE(runtime.errors()[0].detail.find("distributed_server_threads"),
+            std::string::npos)
+      << runtime.errors()[0].detail;
+}
+
+TEST(SpaceServerTest, ThreadsOtherThanZeroOrOneExitsWithReason) {
+  // The server-level twin: SpaceServerOptions::threads = 4 makes Serve()
+  // exit 4 before touching its state dir, naming the field on stderr.
+  const std::string dir = MakeStateDir();
+  ASSERT_FALSE(dir.empty());
+  SpaceServerOptions sopts;
+  sopts.endpoint = dir + "/space.sock";
+  sopts.state_dir = dir + "/state";
+  sopts.stderr_file = dir + "/server.stderr";
+  sopts.threads = 4;
+  const pid_t pid = ForkServerProcess(sopts);
+  ASSERT_GT(pid, 0);
+  ExitInfo info;
+  ASSERT_TRUE(WaitForExit(pid, 10.0, &info));
+  EXPECT_TRUE(info.exited);
+  EXPECT_EQ(info.exit_code, 4);
+  std::ifstream in(sopts.stderr_file);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("SpaceServerOptions::threads"), std::string::npos)
+      << text;
+  RemoveTree(dir);
 }
 
 }  // namespace

@@ -5,15 +5,15 @@ CI's bench-smoke job runs the benchmark binaries with --quick and feeds the
 resulting JSONs through this script. The numbers themselves are noise at
 smoke timings; what this guards is the *shape* of the output — that every
 benchmark actually ran, reported a real_time, that the scaling rows carry
-the hw_threads counter the analysis scripts key on, and that the striped
-server-saturation rows carry the stripe-contention counters proving the
-counters flowed end to end from the server's STATS reply.
+the hw_threads counter the analysis scripts key on, and that every
+server-saturation row names the WAL sync mode it measured.
 
 Usage: check_bench_json.py BENCH_micro.json BENCH_scaling.json ...
 Exits non-zero with a per-file message on the first malformed file.
 """
 
 import json
+import re
 import sys
 
 
@@ -90,18 +90,13 @@ def check_file(path):
             hw_threads = bench.get("hw_threads")
             if not isinstance(hw_threads, (int, float)) or hw_threads <= 0:
                 fail(path, f"{name}: missing 'hw_threads' counter")
-        # Striped saturation rows must carry the stripe-contention counters
-        # pulled over the wire from the server's STATS reply — their absence
-        # means the striped apply path (or its observability) fell out of
-        # the bench without anyone noticing.
-        if name.startswith("BM_ServerSaturationStriped"):
-            stripes = bench.get("stripes")
-            if not isinstance(stripes, (int, float)) or stripes < 2:
-                fail(path, f"{name}: missing or non-striped 'stripes' "
-                           "counter")
-            for counter in ("state_lock_waits", "stripe_conflicts"):
-                if not isinstance(bench.get(counter), (int, float)):
-                    fail(path, f"{name}: missing '{counter}' counter")
+        # Saturation rows must name their WAL sync mode: sync:process and
+        # sync:host time different durability contracts, so a row without
+        # the mode cannot be compared with anything.
+        if name.startswith("BM_ServerSaturation"):
+            if not re.search(r"/sync:(process|host)(/|$)", name):
+                fail(path, f"{name}: row name lacks its WAL sync mode "
+                           "(/sync:process or /sync:host)")
 
     print(f"{path}: ok ({len(benchmarks)} benchmark rows)")
 

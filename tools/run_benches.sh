@@ -3,13 +3,15 @@
 #   BENCH_micro.json   — primitive micro-benchmarks (bench_micro)
 #   BENCH_scaling.json — kRealParallel / kDistributed wall-clock scaling vs
 #                        worker count, plus the multi-server shard-placement
-#                        series (BM_ScalingDistributedApriori/<workers>/<servers>
-#                        sweeps 1/2/4 shard servers at the largest fleet)
-#                        and the server-saturation series
-#                        (BM_ServerSaturation/<clients>/<server-threads>,
+#                        series (BM_ScalingDistributedApriori/<workers>/
+#                        <servers>/sync:<mode> sweeps 1/2/4 shard servers at
+#                        the largest fleet) and the server-saturation series
+#                        (BM_ServerSaturation/<clients>/sync:<mode>,
 #                        items/s + p99 + WAL group-commit counters; the
 #                        speedup curves are only visible on a multicore
-#                        host — check the hw_threads counter)
+#                        host — check the hw_threads counter). sync:process
+#                        is the write-only WAL, sync:host adds one
+#                        fdatasync per serve-loop pass.
 # Usage: tools/run_benches.sh [--quick] [build-dir] [out-dir]
 #   --quick    shrink per-benchmark min time for a CI smoke run; the numbers
 #              are noisy and only prove the binaries run end to end
