@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the performance-critical
 // primitives: tuple-space matching, the tuple codec and checkpoints, the
 // wire protocol (unbatched vs batched round trips against a live server
-// process), GST construction, the motif-matching DP, the optimal sub-K-ary
+// process, at both WAL sync modes) and server checkpoints of a growing
+// space, GST construction, the motif-matching DP, the optimal sub-K-ary
 // split DP, one Apriori pass, and tree edit distance with cuts.
 
 #include <benchmark/benchmark.h>
@@ -116,15 +117,23 @@ BENCHMARK(BM_TupleSpaceMatchMiss);
 /// through the resolved-endpoint file).
 enum class WireTransport { kUnix, kTcp };
 
+/// Row-name suffix for the server's WAL durability contract
+/// (SpaceServerOptions::wal_sync): "sync:process" survives SIGKILL of the
+/// server, "sync:host" adds one fdatasync per serve-loop pass.
+std::string SyncSuffix(bool wal_sync) {
+  return wal_sync ? "/sync:host" : "/sync:process";
+}
+
 class WireBench {
  public:
-  explicit WireBench(WireTransport transport = WireTransport::kUnix) {
+  WireBench(WireTransport transport, bool wal_sync) {
     dir_ = plinda::net::MakeStateDir();
     const bool tcp = transport == WireTransport::kTcp;
     std::string endpoint = dir_ + "/space.sock";
     sopts_.endpoint = tcp ? "tcp:127.0.0.1:0" : endpoint;
     if (tcp) sopts_.resolved_endpoint_file = dir_ + "/endpoint";
     sopts_.state_dir = dir_ + "/state";
+    sopts_.wal_sync = wal_sync;
     server_pid_ = plinda::net::ForkServerProcess(sopts_);
     if (tcp) {
       const auto deadline =
@@ -184,6 +193,12 @@ class WireBench {
     }
     state.counters["transport_syscalls"] = static_cast<double>(syscalls);
     state.counters["transport_bytes"] = static_cast<double>(bytes);
+    // Server durability work: WAL write groups (one write(), plus one
+    // fdatasync at sync:host) and checkpoints, the boot checkpoint included.
+    state.counters["wal_group_commits"] =
+        static_cast<double>(stats.wal_group_commits);
+    state.counters["server_checkpoints"] =
+        static_cast<double>(stats.checkpoints);
   }
 
  private:
@@ -196,9 +211,9 @@ class WireBench {
 
 constexpr int kWireOps = 256;
 
-void BM_WireUnbatchedOutIn(benchmark::State& state) {
+void BM_WireUnbatchedOutIn(benchmark::State& state, bool wal_sync) {
   using namespace plinda;
-  WireBench bench;
+  WireBench bench(WireTransport::kUnix, wal_sync);
   if (!bench.ok()) {
     state.SkipWithError("server connect failed");
     return;
@@ -216,11 +231,11 @@ void BM_WireUnbatchedOutIn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kWireOps * 2);
   bench.FillCounters(state);
 }
-BENCHMARK(BM_WireUnbatchedOutIn)->UseRealTime();
 
-void BM_WireBatchedOutIn(benchmark::State& state) {
+void BM_WireBatchedOutIn(benchmark::State& state, WireTransport transport,
+                         bool wal_sync) {
   using namespace plinda;
-  WireBench bench;
+  WireBench bench(transport, wal_sync);
   if (!bench.ok()) {
     state.SkipWithError("server connect failed");
     return;
@@ -241,44 +256,16 @@ void BM_WireBatchedOutIn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kWireOps * 2);
   bench.FillCounters(state);
 }
-BENCHMARK(BM_WireBatchedOutIn)->UseRealTime();
-
-// The same batched out/in workload over loopback TCP — the transport axis.
-// The delta against BM_WireBatchedOutIn is pure transport cost (TCP/IP
-// stack + TCP_NODELAY small-frame behavior vs a Unix-domain socket).
-void BM_WireBatchedOutInTcp(benchmark::State& state) {
-  using namespace plinda;
-  WireBench bench(WireTransport::kTcp);
-  if (!bench.ok()) {
-    state.SkipWithError("server connect failed");
-    return;
-  }
-  const Template query = MakeTemplate(A("w"), F(ValueType::kInt));
-  for (auto _ : state) {
-    for (int i = 0; i < kWireOps; ++i) {
-      bench.client().BatchOut(MakeTuple("w", i));
-    }
-    for (int i = 0; i < kWireOps; ++i) {
-      bench.client().BatchIn(query, /*remove=*/true);
-    }
-    if (bench.client().Flush() != net::RemoteTupleSpace::CallStatus::kOk) {
-      state.SkipWithError("flush failed");
-      return;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kWireOps * 2);
-  bench.FillCounters(state);
-}
-BENCHMARK(BM_WireBatchedOutInTcp)->UseRealTime();
 
 // Single-op latency across the transport axis: one unbatched Out and one
 // unbatched take per iteration, each a full request/reply round trip, so
 // real_time/2 is the per-op wire latency in microseconds. Batching can't
 // hide anything here — this row is where a transport's per-message cost
 // shows up undiluted.
-void BM_WirePingPong(benchmark::State& state, WireTransport transport) {
+void BM_WirePingPong(benchmark::State& state, WireTransport transport,
+                     bool wal_sync) {
   using namespace plinda;
-  WireBench bench(transport);
+  WireBench bench(transport, wal_sync);
   if (!bench.ok()) {
     state.SkipWithError("server connect failed");
     return;
@@ -292,12 +279,69 @@ void BM_WirePingPong(benchmark::State& state, WireTransport transport) {
   state.SetItemsProcessed(state.iterations() * 2);
   bench.FillCounters(state);
 }
-BENCHMARK_CAPTURE(BM_WirePingPong, unix, WireTransport::kUnix)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_WirePingPong, tcp, WireTransport::kTcp)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
+
+// Checkpoint cost against a growing space: one unbatched out per iteration
+// of a motif-dist-shaped result tuple that nothing consumes, so every
+// snapshot is larger than the last. The iteration count is fixed, so the
+// space ends at the same size in every run; time per op prices the
+// checkpoints amortized over the outs, and server_checkpoints counts them.
+void BM_ServerCheckpointGrowth(benchmark::State& state) {
+  using namespace plinda;
+  WireBench bench(WireTransport::kUnix, /*wal_sync=*/false);
+  if (!bench.ok()) {
+    state.SkipWithError("server connect failed");
+    return;
+  }
+  int64_t i = 0;
+  for (auto _ : state) {
+    bench.client().Out(MakeTuple("cost", "RKDLEGA" + std::to_string(i),
+                                 1.0 / static_cast<double>(i + 3)));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+  bench.FillCounters(state);
+}
+
+// Rows: <bench>[/<transport>]/sync:<mode>. Every wire row names the WAL
+// sync mode it ran at; the unix rows run at both.
+const bool kWireRows = [] {
+  for (const bool wal_sync : {false, true}) {
+    const std::string sync = SyncSuffix(wal_sync);
+    benchmark::RegisterBenchmark(("BM_WireUnbatchedOutIn" + sync).c_str(),
+                                 BM_WireUnbatchedOutIn, wal_sync)
+        ->UseRealTime();
+    benchmark::RegisterBenchmark(("BM_WireBatchedOutIn" + sync).c_str(),
+                                 BM_WireBatchedOutIn, WireTransport::kUnix,
+                                 wal_sync)
+        ->UseRealTime();
+  }
+  // The batched workload over loopback TCP: the delta against
+  // BM_WireBatchedOutIn/sync:process is pure transport cost (TCP/IP stack
+  // + TCP_NODELAY small-frame behavior vs a Unix-domain socket).
+  benchmark::RegisterBenchmark("BM_WireBatchedOutInTcp/sync:process",
+                               BM_WireBatchedOutIn, WireTransport::kTcp,
+                               /*wal_sync=*/false)
+      ->UseRealTime();
+  for (const WireTransport transport :
+       {WireTransport::kUnix, WireTransport::kTcp}) {
+    for (const bool wal_sync : {false, true}) {
+      const std::string name =
+          std::string("BM_WirePingPong/") +
+          (transport == WireTransport::kUnix ? "unix" : "tcp") +
+          SyncSuffix(wal_sync);
+      benchmark::RegisterBenchmark(name.c_str(), BM_WirePingPong, transport,
+                                   wal_sync)
+          ->UseRealTime()
+          ->Unit(benchmark::kMicrosecond);
+    }
+  }
+  benchmark::RegisterBenchmark("BM_ServerCheckpointGrowth/sync:process",
+                               BM_ServerCheckpointGrowth)
+      ->Iterations(8192)
+      ->UseRealTime()
+      ->Unit(benchmark::kMicrosecond);
+  return true;
+}();
 
 void BM_SuffixTreeBuild(benchmark::State& state) {
   seqmine::ProteinSetConfig config = seqmine::CyclinsLikeConfig();

@@ -160,8 +160,8 @@ void FillWireCounters(benchmark::State& state,
   state.counters["txn_cross_server"] =
       static_cast<double>(stats.dist_txn_cross_server);
   // Group-commit WAL observability: group commits and the bytes they
-  // covered, summed over the shard servers. sync:process rows count one
-  // group per append; on sync:host rows one group is one fdatasync.
+  // covered, summed over the shard servers. One group is one write() of a
+  // serve-loop pass's records; on sync:host rows it adds one fdatasync.
   state.counters["wal_group_commits"] =
       static_cast<double>(stats.wal_group_commits);
   state.counters["wal_synced_bytes"] =
@@ -317,9 +317,9 @@ BENCHMARK(BM_ScatterGatherDistributed)
 
 // Saturating multi-client server hot path: N client threads hammer ONE
 // shard server, each flushing pipelined 32-out + 32-take bursts — one wire
-// round trip per burst. Rows are <clients>/sync:<mode>: the sync:host rows
-// show how well one fdatasync per serve-loop pass groups the clients'
-// appends (wal_group_commits against the bursts served). p99 burst latency
+// round trip per burst. Rows are <clients>/sync:<mode>: wal_group_commits
+// against the bursts served shows how well one write (and at sync:host one
+// fdatasync) per serve-loop pass groups the clients' appends. p99 burst latency
 // (µs) rides along so a throughput win bought with a latency collapse
 // shows up.
 enum class SaturationTransport { kUnix, kTcp };

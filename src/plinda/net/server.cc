@@ -103,7 +103,7 @@ void ApplySndbuf(int fd, int sndbuf_bytes) {
 }  // namespace
 
 SpaceServer::SpaceServer(SpaceServerOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), read_buf_(kReadBufferBytes) {
   if (options_.checkpoint_every_ops < 1) options_.checkpoint_every_ops = 1;
   placement_ = options_.placement.empty()
                    ? std::vector<std::string>{options_.endpoint}
@@ -426,10 +426,11 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
 
 bool SpaceServer::TakeCheckpoint() {
   // Callers checkpoint only at a point where every appended entry has been
-  // applied, so the snapshot and the fresh log form a consistent cut. With
-  // wal_sync, the old log is synced first and the snapshot before its
-  // rename: whichever side of the rename a power loss lands on, the
-  // checkpoint + log pair it recovers from holds every acknowledged entry.
+  // applied, so the snapshot and the fresh log form a consistent cut. The
+  // pending records reach the old log first; with wal_sync, that log is
+  // synced and the snapshot too before its rename: whichever side of the
+  // rename a power loss lands on, the checkpoint + log pair it recovers
+  // from holds every acknowledged entry.
   if (!SyncWal()) return false;
   const uint64_t old_epoch = epoch_;
   epoch_ += 1;
@@ -456,8 +457,19 @@ bool SpaceServer::TakeCheckpoint() {
   ::unlink(
       (options_.state_dir + "/log." + std::to_string(old_epoch)).c_str());
   ops_since_checkpoint_ = 0;
+  log_bytes_since_checkpoint_ = 0;
+  snapshot_bytes_ = snapshot.size();
   ++checkpoints_;
   return true;
+}
+
+bool SpaceServer::CheckpointDue() const {
+  // The log must also have grown to the snapshot's size: a space that keeps
+  // growing is then re-encoded a logarithmic number of times, snapshot
+  // bytes stay O(1) per logged byte, and replay after a crash reads at most
+  // one snapshot's worth of log.
+  return ops_since_checkpoint_ >= options_.checkpoint_every_ops &&
+         log_bytes_since_checkpoint_ >= snapshot_bytes_;
 }
 
 bool SpaceServer::AppendLog(const LogEntry& entry) {
@@ -479,58 +491,49 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
   // [payload], see PatchWalHeader — so recovery can tell a torn or
   // bit-rotted tail from a clean prefix even when the mangled bytes still
   // parse as a plausible length. The payload is encoded straight after the
-  // reserved header bytes (patched once the length is known) into a
-  // recycled buffer, so the hot path allocates nothing in steady state.
-  std::string& frame = wal_frame_buf_;
-  frame.assign(kWalHeaderBytes, '\0');
-  EncodeLogEntryInto(entry, &frame);
+  // reserved header bytes (patched once the length is known) at the tail
+  // of the pass's pending records, which SyncWal writes with one write().
+  const size_t start = wal_buf_.size();
+  wal_buf_.append(kWalHeaderBytes, '\0');
+  EncodeLogEntryInto(entry, &wal_buf_);
   // An oversized entry would be skipped (and truncated away) by ReplayLog,
   // silently un-doing an acknowledged op on recovery; requests are capped at
   // kMaxFramePayload and entries encode smaller, so this cannot fire for
   // request-derived entries — it guards the invariant, not a live path.
-  if (frame.size() - kWalHeaderBytes > kMaxFramePayload) {
+  if (wal_buf_.size() - start - kWalHeaderBytes > kMaxFramePayload) {
+    wal_buf_.resize(start);
     wal_failed_ = true;
     stop_ = true;
     return false;
   }
-  PatchWalHeader(&frame);
-  if (!WriteAll(log_fd_, frame.data(), frame.size())) {
-    // A partial append is a torn tail: recovery truncates it away, so the
-    // entry is NOT durable. Stop serving instead of acknowledging it.
-    wal_failed_ = true;
-    stop_ = true;
-    return false;
-  }
-  if (options_.wal_sync) {
-    wal_unsynced_bytes_ += frame.size();  // SyncWal commits the group
-  } else {
-    // Without a sync, every append is its own durable "group commit".
-    ++wal_group_commits_;
-    wal_synced_bytes_ += frame.size();
-  }
+  PatchWalHeader(&wal_buf_, start);
   // Deliberately no checkpoint here: callers apply the entry right after
   // appending it, and a checkpoint taken in between would snapshot the
   // pre-apply state while unlinking the log that holds the entry — losing
   // it from durable state. The serve loop checkpoints once every entry
   // appended so far has been applied.
+  log_bytes_since_checkpoint_ += wal_buf_.size() - start;
   ++ops_since_checkpoint_;
   return true;
 }
 
 bool SpaceServer::SyncWal() {
   if (wal_sync_failed_) return false;
-  if (wal_unsynced_bytes_ == 0) return true;
-  if (log_fd_ < 0 || ::fdatasync(log_fd_) != 0) {
-    // Replies and peer messages produced since the last sync may describe
-    // entries a power loss would erase: none of them may leave now.
+  if (wal_buf_.empty()) return true;
+  if (log_fd_ < 0 || !WriteAll(log_fd_, wal_buf_.data(), wal_buf_.size()) ||
+      (options_.wal_sync && ::fdatasync(log_fd_) != 0)) {
+    // A partial write is a torn tail that recovery truncates away, and a
+    // failed sync leaves the group to a power loss: replies and peer
+    // messages produced since the last write may describe entries that are
+    // not durable, so none of them may leave now.
     wal_sync_failed_ = true;
     wal_failed_ = true;
     stop_ = true;
     return false;
   }
   ++wal_group_commits_;
-  wal_synced_bytes_ += wal_unsynced_bytes_;
-  wal_unsynced_bytes_ = 0;
+  wal_synced_bytes_ += wal_buf_.size();
+  wal_buf_.clear();
   return true;
 }
 
@@ -1748,7 +1751,9 @@ void SpaceServer::OnPrepareVote(size_t participant, const PeerMsg& msg,
   if (options_.die_in_doubt_after > 0 &&
       ++votes_received_ >= options_.die_in_doubt_after) {
     // Chaos: die in the in-doubt window — at least one participant has
-    // durably PREPARED and no decision record exists yet.
+    // durably PREPARED and no decision record exists yet. Records appended
+    // earlier in this pass reach the log first, as every other exit does.
+    if (!SyncWal()) return;
     MaybeDieAt("chaos.died.coord");
   }
   if (vote != kVotePrepared) {
@@ -1788,11 +1793,13 @@ void SpaceServer::DropPeer(PeerLink& peer) {
 
 void SpaceServer::ReadPeerAcks(size_t k) {
   PeerLink& peer = peers_[k];
-  char buf[65536];
   for (;;) {
-    const ssize_t n = ::read(peer.fd, buf, sizeof(buf));
+    const ssize_t n = ::read(peer.fd, read_buf_.data(), read_buf_.size());
     if (n > 0) {
-      peer.reader.Feed(buf, static_cast<size_t>(n));
+      peer.reader.Feed(read_buf_.data(), static_cast<size_t>(n));
+      // A short read drained the socket; level-triggered epoll reports
+      // anything later on the next pass.
+      if (static_cast<size_t>(n) < read_buf_.size()) break;
       continue;
     }
     if (n == 0 ||
@@ -1871,6 +1878,12 @@ void SpaceServer::ReadPeerAcks(size_t k) {
 }
 
 void SpaceServer::PumpPeers() {
+  // A peer that durably applies a message whose source entry a crash here
+  // would erase breaks exactly-once (the replayed commit would re-forward
+  // under a fresh fseq): nothing leaves before its records are written (and
+  // with wal_sync, synced). This also writes the records of acks and drops
+  // handled after the read phase's write.
+  if (!SyncWal()) return;
   // Partitioned: hold every outbound link down. This is also where the
   // partition's teardown of established links happens; the unacked queues
   // stay intact and resend in full after the heal, the peers' watermarks
@@ -1881,10 +1894,6 @@ void SpaceServer::PumpPeers() {
     }
     return;
   }
-  // A peer that durably applies a message whose source entry a power loss
-  // here would erase breaks exactly-once (the replayed commit would
-  // re-forward under a fresh fseq): with wal_sync, nothing leaves unsynced.
-  if (!SyncWal()) return;
   for (size_t k = 0; k < peers_.size(); ++k) {
     if (k == static_cast<size_t>(options_.server_index)) continue;
     PeerLink& peer = peers_[k];
@@ -2074,24 +2083,25 @@ int SpaceServer::Serve() {
       }
     }
 
-    // Read phase: read(2) lands directly in the reader's buffer
-    // (FrameReader::WriteBuffer), and each reassembled frame is decoded in
-    // place and applied inline, in arrival order.
+    // Read phase: read(2) lands in the server's one read buffer and only
+    // the bytes read are fed to the connection's reader; each reassembled
+    // frame is decoded in place and applied inline, in arrival order.
     for (int fd : read_ready) {
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
       Conn& conn = *it->second;
       bool dead = false;
       for (;;) {
-        char* dst = conn.reader.WriteBuffer(65536);
-        const ssize_t n = ::read(fd, dst, 65536);
+        const ssize_t n = ::read(fd, read_buf_.data(), read_buf_.size());
         ++transport_syscalls_;
         if (n > 0) {
-          conn.reader.CommitWrite(static_cast<size_t>(n));
+          conn.reader.Feed(read_buf_.data(), static_cast<size_t>(n));
           transport_bytes_ += static_cast<uint64_t>(n);
+          // A short read drained the socket; level-triggered epoll reports
+          // anything that arrives later (EOF included) on the next pass.
+          if (static_cast<size_t>(n) < read_buf_.size()) break;
           continue;
         }
-        conn.reader.CommitWrite(0);
         if (n == 0) dead = true;
         if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
             errno != EINTR) {
@@ -2116,8 +2126,9 @@ int SpaceServer::Serve() {
       if (dead) defunct.insert(fd);
     }
 
-    // Group commit: with wal_sync, one fdatasync covers every append of
-    // this pass before any reply it produced reaches a socket.
+    // Group commit: one write() (plus, with wal_sync, one fdatasync) covers
+    // every append of this pass before any reply it produced reaches a
+    // socket.
     if (!SyncWal()) break;
 
     // Flush phase: fds with replies appended since the last pass and
@@ -2182,8 +2193,7 @@ int SpaceServer::Serve() {
 
     // Checkpoint at a quiescent point: every logged entry is applied, so
     // the snapshot and the fresh log form a consistent cut.
-    if (!stop_ && ops_since_checkpoint_ >= options_.checkpoint_every_ops &&
-        !TakeCheckpoint() && log_fd_ < 0) {
+    if (!stop_ && CheckpointDue() && !TakeCheckpoint() && log_fd_ < 0) {
       // The rename committed but the fresh log would not open: any
       // further mutation would be acknowledged yet lost from durable
       // state. Stop serving. (A failure before the rename keeps the old
@@ -2195,8 +2205,9 @@ int SpaceServer::Serve() {
   }
 
   // Best-effort blocking flush of pending replies (the SHUTDOWN ack). Safe
-  // even after an append failure: every queued reply's entry was written
-  // before the reply was queued. After a failed sync nothing more is sent.
+  // even after an append failure: every queued reply's entry was appended
+  // before the reply was queued, and SyncWal writes them first. After a
+  // failed write or sync nothing more is sent.
   const bool may_send = SyncWal();
   for (auto& [fd, conn] : conns_) {
     const int flags = ::fcntl(fd, F_GETFL, 0);

@@ -46,7 +46,11 @@ struct SpaceServerOptions {
   /// recovers from whatever it finds there, so restarting with the same
   /// state_dir resumes the crashed server's space exactly.
   std::string state_dir;
-  /// Logged operations between checkpoints (bounds replay work).
+  /// The floor on logged operations between checkpoints. A checkpoint is
+  /// taken once at least this many entries were logged since the last one
+  /// AND the log written since then is at least as large as that
+  /// checkpoint's snapshot, so a growing space is re-encoded a logarithmic
+  /// number of times and replay reads at most one snapshot's worth of log.
   int checkpoint_every_ops = 256;
   /// Multi-server placement: this server's index and the endpoint of
   /// every shard server, indexed by server index (including this one).
@@ -77,14 +81,15 @@ struct SpaceServerOptions {
   /// message naming this field. Kept for callers that still pin it to 1;
   /// it goes once they stop.
   int threads = 0;
-  /// WAL durability contract. false (default): one write() per append, no
-  /// fdatasync — the record is in the page cache before its reply leaves,
-  /// which survives SIGKILL of the server (the fault the chaos harness
-  /// injects) but not power loss. true: additionally one fdatasync per
-  /// serve-loop pass (group commit), run before any reply or peer message
-  /// produced since the previous sync leaves the process; a checkpoint is
-  /// synced before its rename. A failed sync stops the server: it sends
-  /// nothing more and Serve() returns 1.
+  /// WAL durability contract. Either way, the records a serve-loop pass
+  /// appends reach the log with one write() before any reply or peer
+  /// message produced since the previous write leaves the process.
+  /// false (default): no fdatasync — every acknowledged record is in the
+  /// page cache, which survives SIGKILL of the server (the fault the chaos
+  /// harness injects) but not power loss. true: the write is followed by
+  /// one fdatasync (group commit), and a checkpoint is synced before its
+  /// rename. A failed write or sync stops the server: it sends nothing more
+  /// and Serve() returns 1.
   bool wal_sync = false;
   /// Test hook: shrink SO_SNDBUF on accepted client fds and outbound peer
   /// fds to this many bytes (0 = leave the kernel default). Forces replies
@@ -106,12 +111,13 @@ struct SpaceServerOptions {
 ///
 /// Durability follows DESIGN.md's fault model: every mutating request is
 /// appended to the write-ahead log before it is applied, and acknowledged
-/// only after the log write; with wal_sync the reply (or peer message)
-/// also waits for the loop pass's fdatasync. A checksummed checkpoint every
-/// `checkpoint_every_ops` logged entries bounds replay. Retried requests
-/// are deduplicated by (pid, seq) so a client that resends after a server
-/// crash gets the cached reply instead of a double-applied op (exactly-once
-/// effects).
+/// only after the loop pass's one log write; with wal_sync the reply (or
+/// peer message) also waits for that write's fdatasync. A checksummed
+/// checkpoint, taken once the log has grown to the last snapshot's size
+/// (and by at least `checkpoint_every_ops` entries), bounds replay.
+/// Retried requests are deduplicated by (pid, seq) so a client that
+/// resends after a server crash gets the cached reply instead of a
+/// double-applied op (exactly-once effects).
 class SpaceServer {
  public:
   explicit SpaceServer(SpaceServerOptions options);
@@ -251,16 +257,20 @@ class SpaceServer {
   bool LoadSnapshot(const std::string& path);
   std::string EncodeSnapshot() const;
   bool TakeCheckpoint();
-  /// Appends the entry to the write-ahead log. Returns false — and stops the
-  /// server (wal_failed_) — when the entry cannot be made durable (log fd
-  /// lost, short write, oversized entry): callers must not apply or
+  /// True once the log since the last checkpoint holds at least
+  /// checkpoint_every_ops entries and at least that snapshot's bytes.
+  bool CheckpointDue() const;
+  /// Appends the entry to the pass's pending WAL records. Returns false —
+  /// and stops the server (wal_failed_) — when the entry cannot be made
+  /// durable (log fd lost, oversized entry): callers must not apply or
   /// acknowledge the mutation in that case, or a recovered server would
   /// disagree with what clients were told.
   bool AppendLog(const LogEntry& entry);
-  /// wal_sync only: fdatasyncs every append since the previous sync (one
-  /// group commit). Call before any reply or peer message produced since
-  /// then leaves the process. Returns false once a sync has failed; the
-  /// server has then stopped and must send nothing more.
+  /// Writes every pending record with one write() and, with wal_sync, one
+  /// fdatasync (one group commit). Call before any reply or peer message
+  /// produced since the previous call leaves the process. Returns false
+  /// once a write or sync has failed; the server has then stopped and must
+  /// send nothing more.
   bool SyncWal();
   bool ReplayLog(const std::string& path);
 
@@ -384,12 +394,21 @@ class SpaceServer {
   bool partitioned_ = false;
   bool stop_ = false;
   bool wal_failed_ = false;  // durability lost: stop serving, exit nonzero
-  bool wal_sync_failed_ = false;  // a failed fdatasync: send nothing more
-  uint64_t wal_unsynced_bytes_ = 0;  // wal_sync: appended since last sync
+  bool wal_sync_failed_ = false;  // a failed write/sync: send nothing more
+  /// Records appended since the last SyncWal, framed back to back.
+  std::string wal_buf_;
+  /// Log bytes appended since the last checkpoint, and the size of that
+  /// checkpoint's snapshot: CheckpointDue compares the two.
+  uint64_t log_bytes_since_checkpoint_ = 0;
+  uint64_t snapshot_bytes_ = 0;
   std::set<int> flush_request_;  // fds with replies appended this pass
-  std::string wal_frame_buf_;  // AppendLog frame reuse
-  /// WAL group commits (with wal_sync, one per fdatasync; otherwise one
-  /// per append) and the bytes they covered, reported in STATS.
+  /// The one buffer every socket read lands in; FrameReader::Feed then
+  /// copies only the bytes read.
+  static constexpr size_t kReadBufferBytes = 64 << 10;
+  std::vector<char> read_buf_;
+  /// WAL group commits (one per SyncWal that wrote records: one write(),
+  /// plus one fdatasync with wal_sync) and the bytes they covered,
+  /// reported in STATS.
   uint64_t wal_group_commits_ = 0;
   uint64_t wal_synced_bytes_ = 0;
   /// Transport-level I/O counters (read/write calls and bytes on client

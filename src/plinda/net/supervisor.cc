@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -39,6 +40,17 @@ bool FillExitInfo(pid_t pid, int status, ExitInfo* info) {
   }
   return false;  // stopped/continued: not an exit
 }
+
+/// Sleeps `*delay`, then doubles it up to `cap`. A wait that ends within
+/// microseconds (a forked server binding its socket, a killed process being
+/// reaped) then costs about that long, while a long one polls no faster
+/// than `cap`.
+void Backoff(Clock::duration* delay, Clock::duration cap) {
+  std::this_thread::sleep_for(*delay);
+  *delay = std::min(*delay * 2, cap);
+}
+
+constexpr Clock::duration kFirstBackoff = std::chrono::microseconds(100);
 
 }  // namespace
 
@@ -91,13 +103,14 @@ bool WaitForExit(pid_t pid, double timeout_s, ExitInfo* info) {
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(timeout_s));
+  Clock::duration delay = kFirstBackoff;
   for (;;) {
     int status = 0;
     const pid_t r = ::waitpid(pid, &status, WNOHANG);
     if (r == pid && FillExitInfo(pid, status, info)) return true;
     if (r < 0 && errno == ECHILD) return false;  // not our child / gone
     if (Clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    Backoff(&delay, std::chrono::milliseconds(2));
   }
 }
 
@@ -118,6 +131,7 @@ bool WaitForSocket(const std::string& path, double timeout_s) {
   addr.sun_family = AF_UNIX;
   if (!SocketPathFits(path)) return false;
   ::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  Clock::duration delay = kFirstBackoff;
   for (;;) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd >= 0) {
@@ -127,7 +141,7 @@ bool WaitForSocket(const std::string& path, double timeout_s) {
       if (rc == 0) return true;
     }
     if (Clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    Backoff(&delay, std::chrono::milliseconds(5));
   }
 }
 
@@ -152,6 +166,7 @@ bool WaitForEndpoint(const std::string& endpoint_text, double timeout_s) {
     request.pid = -1;
     AppendFrame(EncodeRequest(request), &probe);
   }
+  Clock::duration delay = kFirstBackoff;
   for (;;) {
     const int fd = ConnectEndpoint(endpoint);
     if (fd >= 0) {
@@ -179,7 +194,7 @@ bool WaitForEndpoint(const std::string& endpoint_text, double timeout_s) {
       if (replied) return true;
     }
     if (Clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    Backoff(&delay, std::chrono::milliseconds(5));
   }
 }
 

@@ -41,7 +41,8 @@ struct ExitInfo {
 /// same process (other Runtime instances, test fixtures).
 bool ReapAny(const std::vector<pid_t>& pids, ExitInfo* info);
 
-/// Blocks (polling) until `pid` exits or the timeout lapses.
+/// Blocks until `pid` exits or the timeout lapses, polling at intervals that
+/// double from 100 us up to 2 ms.
 bool WaitForExit(pid_t pid, double timeout_s, ExitInfo* info);
 
 /// Longest Unix-domain socket path the platform accepts (sun_path minus
@@ -55,8 +56,9 @@ size_t MaxSocketPathLength();
 bool SocketPathFits(const std::string& path);
 
 /// Polls until something is accepting connections on the Unix-domain
-/// socket at `path`. Returns false immediately (no timeout burn) when the
-/// path cannot fit sun_path.
+/// socket at `path`, at intervals that double from 100 us up to 5 ms.
+/// Returns false immediately (no timeout burn) when the path cannot fit
+/// sun_path.
 bool WaitForSocket(const std::string& path, double timeout_s);
 
 /// Polls until a SpaceServer is *serving* at `endpoint` ("unix:<path>" /

@@ -158,23 +158,6 @@ void FrameReader::Feed(const char* data, size_t n) {
   buffer_.append(data, n);
 }
 
-char* FrameReader::WriteBuffer(size_t n) {
-  // Compact the consumed prefix before growing: reclaimed space often makes
-  // the resize a no-op, and no NextView() view can be live across a
-  // WriteBuffer() call (documented contract), so moving bytes is safe here.
-  if (pos_ > 0 && (pos_ >= buffer_.size() || pos_ > (64u << 10))) {
-    buffer_.erase(0, pos_);
-    pos_ = 0;
-  }
-  write_base_ = buffer_.size();
-  buffer_.resize(write_base_ + n);
-  return buffer_.data() + write_base_;
-}
-
-void FrameReader::CommitWrite(size_t n) {
-  buffer_.resize(write_base_ + n);
-}
-
 FrameReader::Result FrameReader::PeekFrame(size_t* len) {
   if (broken_) return Result::kError;
   // Compact the consumed prefix occasionally so the buffer doesn't grow
@@ -595,11 +578,11 @@ bool DecodeLogEntry(std::string_view payload, LogEntry* entry,
   return true;
 }
 
-void PatchWalHeader(std::string* record) {
+void PatchWalHeader(std::string* log, size_t start) {
   const std::string_view payload =
-      std::string_view(*record).substr(kWalHeaderBytes);
-  PatchU32(static_cast<uint32_t>(payload.size()), 0, record);
-  PatchU64(Checksum64(payload), 4, record);
+      std::string_view(*log).substr(start + kWalHeaderBytes);
+  PatchU32(static_cast<uint32_t>(payload.size()), start, log);
+  PatchU64(Checksum64(payload), start + 4, log);
 }
 
 bool NextWalRecord(std::string_view log, size_t* off,

@@ -80,21 +80,16 @@ struct ByteReader {
 /// Incremental frame extractor for a byte stream. Feed bytes as they arrive;
 /// Next() yields complete frame payloads in order.
 ///
-/// Two zero-copy paths avoid the per-read and per-frame copies of the
-/// Feed()/Next() pair: WriteBuffer()/CommitWrite() let the caller read(2)
-/// straight into the reassembly buffer, and NextView() hands out a view of
-/// the frame payload in place. A NextView() view is valid only until the
-/// next WriteBuffer/Feed/Next*/ call — parse it before pumping more bytes.
+/// Feed() copies only the bytes it is given, so a caller that reads into
+/// its own read buffer pays one copy per byte read. NextView() hands out
+/// a view of the frame payload in place instead of copying it; the view is
+/// valid only until the next Feed/Next*/ call — parse it before feeding
+/// more bytes.
 class FrameReader {
  public:
   enum class Result { kFrame, kNeedMore, kError };
 
   void Feed(const char* data, size_t n);
-  /// Reserves `n` writable bytes at the tail of the reassembly buffer and
-  /// returns a pointer to them (for a direct read(2) into the buffer).
-  /// Follow with CommitWrite(m) for the m <= n bytes actually read.
-  char* WriteBuffer(size_t n);
-  void CommitWrite(size_t n);
   /// kFrame: `*payload` holds the next complete frame. kNeedMore: feed more
   /// bytes. kError: the stream is corrupt (oversized frame); the reader
   /// stays broken.
@@ -109,7 +104,6 @@ class FrameReader {
 
   std::string buffer_;
   size_t pos_ = 0;
-  size_t write_base_ = 0;
   std::string error_;
   bool broken_ = false;
 };
@@ -310,9 +304,9 @@ struct Reply {
   /// cross-server transactions this server coordinated.
   uint64_t txn_prepares = 0;
   uint64_t txn_cross_server = 0;
-  /// kStats: WAL group-commit observability — group commits (one
-  /// fdatasync each with wal_sync, else one per append) and the log bytes
-  /// they covered.
+  /// kStats: WAL group-commit observability — group commits (one write()
+  /// of a serve-loop pass's records each, plus one fdatasync with
+  /// wal_sync) and the log bytes they covered.
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kStats: transport-level I/O — syscalls the server spent moving bytes
@@ -424,9 +418,11 @@ bool DecodeLogEntry(std::string_view payload, LogEntry* entry,
 /// fields little-endian over the encoded LogEntry behind them.
 inline constexpr size_t kWalHeaderBytes = 12;
 
-/// Patches the WAL record header into the first kWalHeaderBytes of
-/// `record`, whose payload was encoded in place after them.
-void PatchWalHeader(std::string* record);
+/// Patches the header of the WAL record that starts at `start` of `*log`
+/// and runs to its end: kWalHeaderBytes reserved there, then the payload
+/// encoded in place behind them. A start past 0 lets a caller gather many
+/// records into one buffer for one write.
+void PatchWalHeader(std::string* log, size_t start = 0);
 
 /// Reads the WAL record at *off of a log image: sets *payload to a view of
 /// its payload and advances *off past it. Returns false, leaving *off, at

@@ -101,8 +101,11 @@ struct RuntimeOptions {
   /// Commits whose ins all landed on the coordinator skip the prepare round
   /// entirely and cost exactly the single-server fast path.
   int distributed_servers = 1;
-  /// kDistributed: server checkpoints its space every this many logged
-  /// operations (the knob behind RuntimeStats::server_checkpoints).
+  /// kDistributed: the floor on logged operations between a server's
+  /// checkpoints (net::SpaceServerOptions::checkpoint_every_ops). A server
+  /// also waits until its log has grown to its last snapshot's size, so
+  /// checkpoint cost stays proportional to logged bytes as the space grows
+  /// (RuntimeStats::server_checkpoints counts them).
   int distributed_checkpoint_ops = 256;
   /// kDistributed: directory for the server socket + recovery state. Empty
   /// (default) creates a private mkdtemp directory, removed after Run();
@@ -143,11 +146,12 @@ struct RuntimeOptions {
   /// once they stop.
   int distributed_server_threads = 0;
   /// kDistributed: the shard servers' WAL durability contract (see
-  /// net::SpaceServerOptions::wal_sync). false (default): one write() per
-  /// logged mutation, which survives SIGKILL of a server — the fault the
-  /// chaos harness injects. true: also one fdatasync per serve-loop pass
-  /// (group commit) before any reply or peer message it covers leaves the
-  /// server, which survives power loss. Results are identical either way.
+  /// net::SpaceServerOptions::wal_sync). Either way a server writes the
+  /// records of one serve-loop pass with one write() before any reply or
+  /// peer message they cover leaves it. false (default): no fdatasync,
+  /// which survives SIGKILL of a server — the fault the chaos harness
+  /// injects. true: that write is followed by one fdatasync (group
+  /// commit), which survives power loss. Results are identical either way.
   /// The distributed test suites read FPDM_TEST_WAL_SYNC=host into this
   /// option; the runtime itself never consults the environment.
   bool distributed_wal_sync = false;
@@ -303,9 +307,10 @@ struct RuntimeStats {
   uint64_t dist_txn_prepares = 0;
   uint64_t dist_txn_cross_server = 0;
   /// kDistributed: WAL group commits of the shard servers and the WAL bytes
-  /// they covered, summed over the servers. Without distributed_wal_sync
-  /// each append is its own group; with it, one fdatasync is one group, and
-  /// wal_synced_bytes / wal_group_commits measures how well it coalesces.
+  /// they covered, summed over the servers. One group is one write() of
+  /// the records a serve-loop pass appended (plus its fdatasync with
+  /// distributed_wal_sync), so wal_synced_bytes / wal_group_commits
+  /// measures how well the records coalesce.
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kDistributed: transport-level I/O summed over the shard servers —

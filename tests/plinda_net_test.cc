@@ -5,12 +5,15 @@
 // crash-recovery from checkpoint + log, and the kDistributed runtime
 // backend end to end.
 
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -450,7 +453,11 @@ class RawClient {
     if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
         0) {
       Close();
+      return;
     }
+    // A reply that never comes fails the test instead of hanging it.
+    timeval timeout{10, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   }
   ~RawClient() { Close(); }
 
@@ -473,9 +480,14 @@ class RawClient {
     for (const Request& request : requests) {
       AppendFrame(EncodeRequest(request), &framed);
     }
+    return SendBytes(framed);
+  }
+
+  /// Writes raw stream bytes, which need not end on a frame boundary.
+  bool SendBytes(std::string_view bytes) {
     size_t off = 0;
-    while (off < framed.size()) {
-      const ssize_t w = ::send(fd_, framed.data() + off, framed.size() - off,
+    while (off < bytes.size()) {
+      const ssize_t w = ::send(fd_, bytes.data() + off, bytes.size() - off,
                                MSG_NOSIGNAL);
       if (w < 0) return false;
       off += static_cast<size_t>(w);
@@ -2652,6 +2664,54 @@ TEST_F(NetIntegrationTest, SessionRepliesByteIdenticalAcrossSyncModes) {
   }
 }
 
+/// Registers `pid` over a raw connection, then sends `outs` outs of
+/// (tag, i) in one burst. Returns how many of them were acknowledged, in
+/// order, before the first missing or failed reply.
+int BurstOuts(const std::string& endpoint, int32_t pid, const std::string& tag,
+              int outs) {
+  RawClient client(endpoint);
+  Request hello;
+  hello.op = Op::kHello;
+  hello.pid = pid;
+  Reply reply;
+  if (!client.ok() || !client.Send(hello) || !client.Receive(&reply) ||
+      reply.status != WireStatus::kOk) {
+    return 0;
+  }
+  std::vector<Request> burst;
+  for (int i = 0; i < outs; ++i) {
+    Request out;
+    out.op = Op::kOut;
+    out.pid = pid;
+    out.seq = static_cast<uint64_t>(i + 1);
+    out.tuple = MakeTuple(tag, i);
+    burst.push_back(std::move(out));
+  }
+  if (!client.SendBurst(burst)) return 0;
+  int acked = 0;
+  while (acked < outs && client.Receive(&reply) &&
+         reply.status == WireStatus::kOk) {
+    ++acked;
+  }
+  return acked;
+}
+
+/// Runs BurstOuts for `clients` concurrent clients (pids 1..clients, tags
+/// "b<c>") and returns each client's acknowledged count.
+std::vector<int> ConcurrentBursts(const std::string& endpoint, int clients,
+                                  int outs) {
+  std::vector<int> acked(static_cast<size_t>(clients), 0);
+  std::vector<std::thread> fleet;
+  for (int c = 0; c < clients; ++c) {
+    fleet.emplace_back([&, c] {
+      acked[static_cast<size_t>(c)] =
+          BurstOuts(endpoint, c + 1, "b" + std::to_string(c), outs);
+    });
+  }
+  for (std::thread& t : fleet) t.join();
+  return acked;
+}
+
 TEST_F(NetIntegrationTest, SyncHostGroupsConcurrentAppends) {
   // wal_sync=true syncs once per serve-loop pass, so appends that arrive
   // together share one fdatasync. Eight clients each write a HELLO and
@@ -2663,43 +2723,9 @@ TEST_F(NetIntegrationTest, SyncHostGroupsConcurrentAppends) {
   StartServer();
   constexpr int kClients = 8;
   constexpr int kOuts = 16;
-  std::vector<std::thread> fleet;
-  std::atomic<int> failures{0};
-  for (int c = 0; c < kClients; ++c) {
-    fleet.emplace_back([&, c] {
-      RawClient client(sopts_.endpoint);
-      Request hello;
-      hello.op = Op::kHello;
-      hello.pid = c + 1;
-      Reply reply;
-      if (!client.ok() || !client.Send(hello) || !client.Receive(&reply) ||
-          reply.status != WireStatus::kOk) {
-        ++failures;
-        return;
-      }
-      std::vector<Request> burst;
-      for (int i = 0; i < kOuts; ++i) {
-        Request out;
-        out.op = Op::kOut;
-        out.pid = c + 1;
-        out.seq = static_cast<uint64_t>(i + 1);
-        out.tuple = MakeTuple("g" + std::to_string(c), i);
-        burst.push_back(std::move(out));
-      }
-      if (!client.SendBurst(burst)) {
-        ++failures;
-        return;
-      }
-      for (int i = 0; i < kOuts; ++i) {
-        if (!client.Receive(&reply) || reply.status != WireStatus::kOk) {
-          ++failures;
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : fleet) t.join();
-  ASSERT_EQ(failures.load(), 0);
+  const std::vector<int> acked =
+      ConcurrentBursts(sopts_.endpoint, kClients, kOuts);
+  for (int c = 0; c < kClients; ++c) ASSERT_EQ(acked[c], kOuts) << c;
   RawClient ctl(sopts_.endpoint);
   Request stats_req;
   stats_req.op = Op::kStats;
@@ -2710,6 +2736,181 @@ TEST_F(NetIntegrationTest, SyncHostGroupsConcurrentAppends) {
   EXPECT_GT(stats.wal_group_commits, 0u);
   EXPECT_LT(stats.wal_group_commits, kMutating);
   EXPECT_EQ(stats.tuple_ops, static_cast<uint64_t>(kClients * kOuts));
+}
+
+TEST_F(NetIntegrationTest, ConcurrentBurstsShareWritesAndSurviveSigkill) {
+  // Without wal_sync the records of a serve-loop pass still reach the log
+  // with one write() before any reply of the pass leaves. Eight clients'
+  // concurrent bursts then need fewer writes than the mutating requests
+  // served, and a SIGKILL right after the last ack loses no acked out.
+  constexpr int kClients = 8;
+  constexpr int kOuts = 64;
+  const std::vector<int> acked =
+      ConcurrentBursts(sopts_.endpoint, kClients, kOuts);
+  for (int c = 0; c < kClients; ++c) ASSERT_EQ(acked[c], kOuts) << c;
+  RawClient ctl(sopts_.endpoint);
+  Request stats_req;
+  stats_req.op = Op::kStats;
+  Reply stats;
+  ASSERT_TRUE(ctl.Send(stats_req));
+  ASSERT_TRUE(ctl.Receive(&stats));
+  constexpr uint64_t kMutating = kClients * (1 + kOuts);
+  EXPECT_GT(stats.wal_group_commits, 0u);
+  EXPECT_LT(stats.wal_group_commits, kMutating);
+  ctl.Close();
+
+  StopServer();  // SIGKILL
+  StartServer();
+  RemoteTupleSpace check(ClientOptions(99));
+  ASSERT_TRUE(check.Connect());
+  for (int c = 0; c < kClients; ++c) {
+    uint64_t count = 0;
+    ASSERT_EQ(check.Count(MakeTemplate(A("b" + std::to_string(c)),
+                                       F(ValueType::kInt)),
+                          &count),
+              CallStatus::kOk);
+    EXPECT_EQ(count, static_cast<uint64_t>(kOuts)) << c;
+  }
+  check.Bye();
+}
+
+TEST_F(NetIntegrationTest, FailedWalWriteAcknowledgesNothingItLost) {
+  // A log write the file system refuses must stop the server before any
+  // reply of its group leaves. The server below may not grow a file past
+  // 8 KiB and takes no periodic checkpoint, so concurrent bursts of outs
+  // run its log into the limit. After a restart without the limit, every
+  // out a client saw acknowledged is there.
+  StopServer();
+  sopts_.checkpoint_every_ops = 1 << 30;
+  const SpaceServerOptions limited = sopts_;
+  server_pid_ = ForkChild([limited] {
+    const rlimit limit{8 << 10, 8 << 10};
+    ::setrlimit(RLIMIT_FSIZE, &limit);
+    ::signal(SIGXFSZ, SIG_IGN);  // a write past the limit fails with EFBIG
+    SpaceServer server(limited);
+    return server.Serve();
+  });
+  ASSERT_GT(server_pid_, 0);
+  ASSERT_TRUE(WaitForSocket(sopts_.endpoint, 10.0));
+  constexpr int kClients = 8;
+  constexpr int kOuts = 64;
+  const std::vector<int> acked =
+      ConcurrentBursts(sopts_.endpoint, kClients, kOuts);
+  ExitInfo info;
+  ASSERT_TRUE(WaitForExit(server_pid_, 10.0, &info));
+  server_pid_ = -1;
+  EXPECT_TRUE(info.exited);
+  EXPECT_EQ(info.exit_code, 1);  // the WAL stopped accepting appends
+
+  StartServer();
+  RemoteTupleSpace check(ClientOptions(99));
+  ASSERT_TRUE(check.Connect());
+  int total_acked = 0;
+  for (int c = 0; c < kClients; ++c) {
+    uint64_t count = 0;
+    ASSERT_EQ(check.Count(MakeTemplate(A("b" + std::to_string(c)),
+                                       F(ValueType::kInt)),
+                          &count),
+              CallStatus::kOk);
+    EXPECT_GE(count, static_cast<uint64_t>(acked[c])) << c;
+    total_acked += acked[c];
+  }
+  EXPECT_LT(total_acked, kClients * kOuts);  // the limit did stop the run
+  check.Bye();
+}
+
+TEST_F(NetIntegrationTest, CheckpointsAmortizeAgainstLogGrowth) {
+  // 2,000 outs that nobody consumes: the space, and so every snapshot,
+  // keeps growing. A checkpoint every checkpoint_every_ops = 4 records
+  // would re-encode it 500 times; waiting for the log to reach the last
+  // snapshot's size takes a logarithmic number. Recovery replays at most
+  // the log since the last one, and every out survives a SIGKILL.
+  constexpr int kOuts = 2000;
+  RemoteTupleSpace client(ClientOptions(1));
+  ASSERT_TRUE(client.Connect());
+  for (int i = 0; i < kOuts; ++i) {
+    ASSERT_EQ(client.Out(MakeTuple("kept", i)), CallStatus::kOk);
+  }
+  Reply stats;
+  ASSERT_EQ(client.Stats(&stats), CallStatus::kOk);
+  EXPECT_GT(stats.checkpoints, 2u);
+  EXPECT_LT(stats.checkpoints, 100u);
+
+  StopServer();  // SIGKILL
+  StartServer();
+  uint64_t count = 0;
+  ASSERT_EQ(client.Count(MakeTemplate(A("kept"), F(ValueType::kInt)), &count),
+            CallStatus::kOk);
+  EXPECT_EQ(count, static_cast<uint64_t>(kOuts));
+  ASSERT_EQ(client.Stats(&stats), CallStatus::kOk);
+  EXPECT_LT(stats.ops_replayed, static_cast<uint64_t>(kOuts));
+  client.Bye();
+}
+
+TEST_F(NetIntegrationTest, FramesReassembleAcrossAndWithinReads) {
+  // The server reads into one fixed buffer and feeds each connection's
+  // reader only the bytes read: a frame split over two reads, a frame
+  // larger than that buffer, and 100 frames that arrive together must each
+  // be applied once and answered in order.
+  RawClient c(sopts_.endpoint);
+  ASSERT_TRUE(c.ok());
+  Request hello;
+  hello.op = Op::kHello;
+  hello.pid = 5;
+  Reply reply;
+  ASSERT_TRUE(c.Send(hello));
+  ASSERT_TRUE(c.Receive(&reply));
+  uint64_t seq = 0;
+  const auto out = [&](Tuple tuple) {
+    Request request;
+    request.op = Op::kOut;
+    request.pid = 5;
+    request.seq = ++seq;
+    request.tuple = std::move(tuple);
+    return request;
+  };
+
+  std::string framed;
+  AppendFrame(EncodeRequest(out(MakeTuple("split", 1))), &framed);
+  const size_t half = framed.size() / 2;
+  ASSERT_TRUE(c.SendBytes(std::string_view(framed).substr(0, half)));
+  // Let the server read the first half on its own pass.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(c.SendBytes(std::string_view(framed).substr(half)));
+  ASSERT_TRUE(c.Receive(&reply));
+  EXPECT_EQ(reply.status, WireStatus::kOk);
+
+  ASSERT_TRUE(c.Send(out(MakeTuple("big", std::string(200 << 10, 'b')))));
+  ASSERT_TRUE(c.Receive(&reply));
+  EXPECT_EQ(reply.status, WireStatus::kOk);
+
+  std::vector<Request> burst;
+  for (int i = 0; i < 100; ++i) burst.push_back(out(MakeTuple("many", i)));
+  ASSERT_TRUE(c.SendBurst(burst));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(c.Receive(&reply)) << i;
+    EXPECT_EQ(reply.status, WireStatus::kOk) << i;
+  }
+
+  RemoteTupleSpace check(ClientOptions(99));
+  ASSERT_TRUE(check.Connect());
+  uint64_t count = 0;
+  ASSERT_EQ(check.Count(MakeTemplate(A("split"), F(ValueType::kInt)), &count),
+            CallStatus::kOk);
+  EXPECT_EQ(count, 1u);
+  ASSERT_EQ(check.Count(MakeTemplate(A("big"), F(ValueType::kString)),
+                        &count),
+            CallStatus::kOk);
+  EXPECT_EQ(count, 1u);
+  Tuple first;
+  ASSERT_EQ(check.In(MakeTemplate(A("many"), F(ValueType::kInt)),
+                     /*blocking=*/false, /*remove=*/false, &first),
+            CallStatus::kOk);
+  EXPECT_EQ(GetInt(first, 1), 0);  // applied in arrival order
+  ASSERT_EQ(check.Count(MakeTemplate(A("many"), F(ValueType::kInt)), &count),
+            CallStatus::kOk);
+  EXPECT_EQ(count, 100u);
+  check.Bye();
 }
 
 TEST_F(NetIntegrationTest, StressManyClientsKeepFifoAndDrain) {

@@ -6,7 +6,7 @@ resulting JSONs through this script. The numbers themselves are noise at
 smoke timings; what this guards is the *shape* of the output — that every
 benchmark actually ran, reported a real_time, that the scaling rows carry
 the hw_threads counter the analysis scripts key on, and that every
-server-saturation row names the WAL sync mode it measured.
+server and wire row names the WAL sync mode it measured.
 
 Usage: check_bench_json.py BENCH_micro.json BENCH_scaling.json ...
 Exits non-zero with a per-file message on the first malformed file.
@@ -90,10 +90,10 @@ def check_file(path):
             hw_threads = bench.get("hw_threads")
             if not isinstance(hw_threads, (int, float)) or hw_threads <= 0:
                 fail(path, f"{name}: missing 'hw_threads' counter")
-        # Saturation rows must name their WAL sync mode: sync:process and
-        # sync:host time different durability contracts, so a row without
-        # the mode cannot be compared with anything.
-        if name.startswith("BM_ServerSaturation"):
+        # Server and wire rows must name their WAL sync mode: sync:process
+        # and sync:host time different durability contracts, so a row
+        # without the mode cannot be compared with anything.
+        if name.startswith(("BM_Server", "BM_Wire")):
             if not re.search(r"/sync:(process|host)(/|$)", name):
                 fail(path, f"{name}: row name lacks its WAL sync mode "
                            "(/sync:process or /sync:host)")
