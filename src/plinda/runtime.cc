@@ -359,6 +359,7 @@ int Runtime::SpawnLocked(const std::string& name, int machine, ProcessFn fn,
 
 void Runtime::StartProcessLocked(Proc* proc) {
   if (real_mode()) {
+    ++real_runnable_;
     threads_.emplace_back(&Runtime::RunProcessReal, this, proc);
     return;
   }
@@ -486,11 +487,9 @@ void Runtime::BuildDiagnosticLocked() {
     out += "deadlock: no process can make progress\n";
     for (const auto& up : procs_) {
       const Proc* proc = up.get();
-      // Real mode: deadlocked waiters were cancelled (state kDead) but keep
-      // real_blocked + their template for exactly this post-mortem.
-      const bool blocked = proc->state == ProcState::kBlocked ||
-                           (real_mode() && proc->real_blocked);
-      if (!blocked) continue;
+      // Real mode: the kBlocked processes are exactly those on
+      // real_waiters_, which RunReal() reads here before cancelling them.
+      if (proc->state != ProcState::kBlocked) continue;
       char head[128];
       std::snprintf(head, sizeof(head), "  %s (pid %d, machine %d) blocked on ",
                     proc->name.c_str(), proc->id, proc->machine);
@@ -939,9 +938,7 @@ void Runtime::OpCompute(Proc* proc, double work_units) {
   }
   if (real_mode()) {
     // The real work happens on the calling thread; the units only feed the
-    // total_work statistic (folded in after the join). Also a cancellation
-    // point so compute-heavy processes notice a deadlock shutdown.
-    if (rspace_->closed()) throw ProcessKilledException{};
+    // total_work statistic (folded in after the join).
     proc->work_done += work_units;
     return;
   }
@@ -1003,95 +1000,35 @@ bool Runtime::RunReal() {
     return false;
   }
 
-  rspace_ = std::make_unique<ShardedTupleSpace>(options_.real_shards);
-  rspace_->OutBatch(space_.TakeAllInOrder());
   real_start_ = std::chrono::steady_clock::now();
   started_real_ = true;
   for (auto& proc : procs_) proc->cv.notify_all();
 
-  // Watchdog: waits for every process to finish, detecting true deadlocks
-  // along the way. "Every live process is parked inside a blocking in/rd and
-  // the publish epoch did not move" observed twice in a row means nobody can
-  // ever wake anybody: cancel by closing the space, which unwinds the
-  // waiters through ProcessKilledException.
-  bool prev_all_blocked = false;
-  uint64_t prev_epoch = 0;
-  bool closed_for_deadlock = false;
-  for (;;) {
-    sched_cv_.wait_for(lock, std::chrono::milliseconds(20));
-    const int total = static_cast<int>(procs_.size());
-    int finished = 0;
-    for (auto& up : procs_) {
-      if (up->state == ProcState::kDone || up->state == ProcState::kDead) {
-        ++finished;
-      }
-    }
-    if (finished == total) break;
-    if (closed_for_deadlock) continue;  // cancellation in flight
-    const int live = total - finished;
-    const int blocked = rspace_->waiters();
-    const uint64_t epoch = rspace_->publish_epoch();
-    if (blocked >= live) {
-      // Final confirmation before cancelling: a parked waiter whose
-      // template has a match in the space is merely starved of CPU (the
-      // matching publish already bumped its shard's generation, so it will
-      // consume the tuple once scheduled) — common on oversubscribed
-      // single-core hosts. Only an all-parked, epoch-stable, no-match
-      // state can never resolve itself.
-      if (prev_all_blocked && epoch == prev_epoch && !AnyRealWaiterCanMatch()) {
-        deadlocked_ = true;
-        closed_for_deadlock = true;
-        lock.unlock();  // Close() takes shard locks; never under mu_
-        rspace_->Close();
-        lock.lock();
-        continue;
-      }
-      prev_all_blocked = true;
-      prev_epoch = epoch;
-    } else {
-      prev_all_blocked = false;
-    }
-  }
-
+  // No timer: a parked process runs again only when a runnable one hands
+  // it a tuple, so once none is runnable, none ever will be. Either every
+  // process has finished, or the ones left on the waiter list deadlocked.
+  sched_cv_.wait(lock, [&] { return real_runnable_ == 0; });
+  deadlocked_ = !real_waiters_.empty();
+  // Name the parked processes and their templates before the cancel
+  // below unwinds them.
+  if (deadlocked_) BuildDiagnosticLocked();
   wall_time_ = NowReal();
   completion_time_ = wall_time_;
+  // Cancel: every parked process unwinds, and the ins its open
+  // transaction restores go to the space, not to another dying waiter.
   shutdown_ = true;
+  real_waiters_.clear();
   for (auto& proc : procs_) proc->cv.notify_all();
   lock.unlock();
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
   lock.lock();
-  // Every process thread joined: the atomics and per-process counters are
-  // final, and the sharded space is quiescent.
+  // Every process thread joined: the counters are final.
   stats_.tuple_ops += real_tuple_ops_.exchange(0);
-  stats_.transactions_committed += real_commits_.exchange(0);
-  stats_.transactions_aborted += real_aborts_.exchange(0);
-  stats_.cross_shard_ops += rspace_->cross_shard_ops();
   for (auto& up : procs_) stats_.total_work += up->work_done;
-  // Drain the sharded space back so space() harvesting works identically in
-  // both modes (FIFO order preserved).
-  for (Tuple& tuple : rspace_->TakeAllInOrder()) space_.Out(std::move(tuple));
-  if (deadlocked_ || !errors_.empty()) BuildDiagnosticLocked();
+  if (!deadlocked_ && !errors_.empty()) BuildDiagnosticLocked();
   return !deadlocked_ && errors_.empty();
-}
-
-bool Runtime::AnyRealWaiterCanMatch() {
-  for (auto& up : procs_) {
-    Proc* proc = up.get();
-    if (proc->state == ProcState::kDone || proc->state == ProcState::kDead) {
-      continue;
-    }
-    Template tmpl;
-    bool parked = false;
-    {
-      std::lock_guard<std::mutex> guard(proc->real_mu);
-      parked = proc->real_blocked;
-      if (parked) tmpl = proc->blocked_tmpl;
-    }
-    if (parked && rspace_->TryRd(tmpl, nullptr)) return true;
-  }
-  return false;
 }
 
 void Runtime::RunProcessReal(Proc* proc) {
@@ -1100,7 +1037,6 @@ void Runtime::RunProcessReal(Proc* proc) {
     proc->cv.wait(lock, [&] { return started_real_ || shutdown_; });
     if (!started_real_) {  // shut down before Run(): never ran
       proc->state = ProcState::kDead;
-      sched_cv_.notify_all();
       return;
     }
   }
@@ -1114,8 +1050,9 @@ void Runtime::RunProcessReal(Proc* proc) {
   } catch (const ProtocolErrorException&) {
     errored = true;
   }
-  RealAbortTxn(proc);
+  std::vector<Proc*> woken;
   std::unique_lock<std::mutex> lock(mu_);
+  RealAbortTxnLocked(proc, &woken);
   if (killed) {
     proc->state = ProcState::kDead;
     ++stats_.processes_killed;
@@ -1125,19 +1062,42 @@ void Runtime::RunProcessReal(Proc* proc) {
     proc->state = ProcState::kDone;
     RecordLocked(TraceEvent::Kind::kDone, NowReal(), proc, proc->machine);
   }
-  sched_cv_.notify_all();
+  if (--real_runnable_ == 0) sched_cv_.notify_one();
+  lock.unlock();
+  for (Proc* other : woken) other->cv.notify_one();
 }
 
-void Runtime::RealAbortTxn(Proc* proc) {
-  if (!proc->txn_active) return;
-  if (!rspace_->closed()) {
-    // Restore the tuples the transaction removed; drop unpublished outs.
-    for (Tuple& tuple : proc->txn_ins) rspace_->Out(std::move(tuple));
+void Runtime::RealPublishLocked(Tuple tuple, std::vector<Proc*>* woken) {
+  // A parked waiter matched nothing when it parked, and every later
+  // publish came through here, so only `tuple` can satisfy it now: this is
+  // SpaceServer::SatisfyWaiters' rule, applied one tuple at a time.
+  for (auto it = real_waiters_.begin(); it != real_waiters_.end();) {
+    Proc* waiter = *it;
+    if (!Matches(waiter->blocked_tmpl, tuple)) {
+      ++it;
+      continue;
+    }
+    it = real_waiters_.erase(it);
+    waiter->state = ProcState::kReady;
+    ++real_runnable_;
+    woken->push_back(waiter);
+    if (waiter->blocked_remove) {
+      waiter->handed = std::move(tuple);
+      return;
+    }
+    waiter->handed = tuple;
   }
+  space_.Out(std::move(tuple));
+}
+
+void Runtime::RealAbortTxnLocked(Proc* proc, std::vector<Proc*>* woken) {
+  if (!proc->txn_active) return;
+  // Restore the tuples the transaction removed; drop unpublished outs.
+  for (Tuple& tuple : proc->txn_ins) RealPublishLocked(std::move(tuple), woken);
   proc->txn_ins.clear();
   proc->txn_outs.clear();
   proc->txn_active = false;
-  real_aborts_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.transactions_aborted;
 }
 
 void Runtime::FailProcReal(Proc* proc, RuntimeError::Code code,
@@ -1158,18 +1118,20 @@ void Runtime::FailProcReal(Proc* proc, RuntimeError::Code code,
 }
 
 void Runtime::RealOut(Proc* proc, Tuple tuple) {
-  if (rspace_->closed()) throw ProcessKilledException{};
   real_tuple_ops_.fetch_add(1, std::memory_order_relaxed);
   if (proc->txn_active) {
     proc->txn_outs.push_back(std::move(tuple));
-  } else {
-    rspace_->Out(std::move(tuple));
+    return;
   }
+  std::vector<Proc*> woken;
+  std::unique_lock<std::mutex> lock(mu_);
+  RealPublishLocked(std::move(tuple), &woken);
+  lock.unlock();
+  for (Proc* other : woken) other->cv.notify_one();
 }
 
 bool Runtime::RealIn(Proc* proc, const Template& tmpl, Tuple* result,
                      bool blocking, bool remove) {
-  if (rspace_->closed()) throw ProcessKilledException{};
   real_tuple_ops_.fetch_add(1, std::memory_order_relaxed);
   // A transaction sees its own uncommitted outs (same as the simulator).
   if (proc->txn_active) {
@@ -1182,33 +1144,35 @@ bool Runtime::RealIn(Proc* proc, const Template& tmpl, Tuple* result,
     }
   }
   Tuple found;
-  if (blocking) {
-    {
-      std::lock_guard<std::mutex> guard(proc->real_mu);
-      proc->block_reason = BlockReason::kTemplate;
-      proc->blocked_tmpl = tmpl;
-      proc->blocked_remove = remove;
-      proc->real_blocked = true;
-    }
-    if (!rspace_->WaitIn(tmpl, &found, remove)) {
-      // Space closed while we waited: deadlock cancellation or shutdown.
-      // real_blocked stays set for the post-mortem diagnostic.
+  std::unique_lock<std::mutex> lock(mu_);
+  const bool ok =
+      remove ? space_.TryIn(tmpl, &found) : space_.TryRd(tmpl, &found);
+  if (!ok) {
+    if (!blocking) return false;
+    proc->state = ProcState::kBlocked;
+    proc->block_reason = BlockReason::kTemplate;
+    proc->blocked_tmpl = tmpl;
+    proc->blocked_remove = remove;
+    real_waiters_.push_back(proc);
+    if (--real_runnable_ == 0) sched_cv_.notify_one();
+    proc->cv.wait(lock, [&] {
+      return proc->state != ProcState::kBlocked || shutdown_;
+    });
+    if (proc->state == ProcState::kBlocked) {
+      // Cancelled: RunReal found every live process parked.
+      ++real_runnable_;
       throw ProcessKilledException{};
     }
-    std::lock_guard<std::mutex> guard(proc->real_mu);
-    proc->real_blocked = false;
-  } else {
-    const bool ok = remove ? rspace_->TryIn(tmpl, &found)
-                           : rspace_->TryRd(tmpl, &found);
-    if (!ok) return false;
+    proc->block_reason = BlockReason::kNone;
+    found = std::move(proc->handed);
   }
+  lock.unlock();
   if (remove && proc->txn_active) proc->txn_ins.push_back(found);
   if (result != nullptr) *result = std::move(found);
   return true;
 }
 
 void Runtime::RealXStart(Proc* proc) {
-  if (rspace_->closed()) throw ProcessKilledException{};
   if (proc->txn_active) {
     FailProcReal(proc, RuntimeError::Code::kNestedXStart,
                  "transaction already open");
@@ -1218,24 +1182,25 @@ void Runtime::RealXStart(Proc* proc) {
 
 void Runtime::RealXCommit(Proc* proc, bool has_continuation,
                           Tuple continuation) {
-  if (rspace_->closed()) throw ProcessKilledException{};
   if (!proc->txn_active) {
     FailProcReal(proc, RuntimeError::Code::kXCommitWithoutXStart,
                  "no transaction is open");
   }
-  rspace_->OutBatch(std::move(proc->txn_outs));
+  std::vector<Proc*> woken;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (Tuple& tuple : proc->txn_outs) {
+    RealPublishLocked(std::move(tuple), &woken);
+  }
+  if (has_continuation) continuations_[proc->id] = std::move(continuation);
+  ++stats_.transactions_committed;
+  lock.unlock();
   proc->txn_outs.clear();
   proc->txn_ins.clear();
   proc->txn_active = false;
-  if (has_continuation) {
-    std::lock_guard<std::mutex> lock(mu_);
-    continuations_[proc->id] = std::move(continuation);
-  }
-  real_commits_.fetch_add(1, std::memory_order_relaxed);
+  for (Proc* other : woken) other->cv.notify_one();
 }
 
 bool Runtime::RealXRecover(Proc* proc, Tuple* continuation) {
-  if (rspace_->closed()) throw ProcessKilledException{};
   if (proc->txn_active) {
     FailProcReal(proc, RuntimeError::Code::kXRecoverInsideTransaction,
                  "xrecover must run outside transactions");
@@ -1248,7 +1213,6 @@ bool Runtime::RealXRecover(Proc* proc, Tuple* continuation) {
 }
 
 int Runtime::RealSpawn(Proc* proc, const std::string& name, ProcessFn fn) {
-  if (rspace_->closed()) throw ProcessKilledException{};
   real_tuple_ops_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(mu_);
   int machine = PickMachineLocked();

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <functional>
 #include <map>
 #include <memory>
@@ -14,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "plinda/sharded_space.h"
 #include "plinda/tuple.h"
 #include "plinda/tuple_space.h"
 
@@ -42,13 +42,15 @@ enum class ExecutionMode {
   /// including virtual times.
   kSimulated,
   /// Real parallel execution: all runnable processes run concurrently on
-  /// their OS threads against a sharded, thread-safe tuple space
-  /// (ShardedTupleSpace). Wall-clock fast, scales with cores; virtual time
-  /// does not advance (Compute only accrues work statistics) and fault
-  /// injection is unsupported — scheduling any fault makes Run() fail with
-  /// RuntimeError::Code::kFaultInjectionUnsupported. Mining protocols whose
-  /// results are scheduling-independent (all of core/ and classify/)
-  /// produce bit-identical results in either mode.
+  /// their OS threads against the runtime's one TupleSpace, each tuple op
+  /// under one mutex. A blocking in/rd with no match parks on a FIFO waiter
+  /// list, and a publish hands its tuple to the oldest matching waiters, as
+  /// the shard server does. Deadlock is exact: every live process parked.
+  /// Virtual time does not advance (Compute only accrues work statistics)
+  /// and fault injection is unsupported — scheduling any fault makes Run()
+  /// fail with RuntimeError::Code::kFaultInjectionUnsupported. Mining
+  /// protocols whose results are scheduling-independent (all of core/ and
+  /// classify/) produce bit-identical results in either mode.
   kRealParallel,
   /// Distributed execution: every process is a forked OS process talking to
   /// a tuple-space *server process* over a Unix-domain socket (the wire
@@ -69,9 +71,6 @@ enum class ExecutionMode {
 struct RuntimeOptions {
   /// Execution backend: deterministic simulator or real multicore threads.
   ExecutionMode mode = ExecutionMode::kSimulated;
-  /// Shard count of the concurrent tuple space in kRealParallel mode
-  /// (<= 0: derived from hardware_concurrency).
-  int real_shards = 0;
   /// Cost of one tuple-space operation (out/in/rd/...): models the LAN round
   /// trip to the PLinda server.
   double tuple_op_latency = 0.02;
@@ -277,8 +276,9 @@ struct RuntimeStats {
   /// Sum over processes of Compute() work units actually performed
   /// (including work later lost to failures).
   double total_work = 0;
-  /// kRealParallel only: tuple-space operations that took the all-shard
-  /// slow path (formal-first-field templates).
+  /// Always 0: no backend splits the in-process space into shards any
+  /// more. Kept only because the repository benchmark's runner prints it;
+  /// it goes with the next change to the benchmark.
   uint64_t cross_shard_ops = 0;
   /// kDistributed only: wire-level counters summed over every worker
   /// incarnation plus the supervisor's control connection. rpc_calls counts
@@ -341,13 +341,14 @@ struct RuntimeStats {
 /// ScheduleServerFailure and DESIGN.md "Fault model".
 ///
 /// **Real-parallel (ExecutionMode::kRealParallel).** All processes run
-/// concurrently against a sharded, thread-safe tuple space; wall-clock
-/// speed scales with cores. Fault injection is unsupported in this mode
-/// (Run() fails fast with kFaultInjectionUnsupported), virtual time does
-/// not advance, and CompletionTime() returns elapsed wall seconds. A
-/// deadlock (every live process blocked on in/rd with nothing left to
-/// publish) is detected by a watchdog, cancelled, and reported through
-/// deadlocked()/diagnostic() exactly like the simulator.
+/// concurrently on their own OS threads against space(), one tuple op at a
+/// time under the runtime's mutex; wall-clock speed scales with cores as
+/// far as the mining work between ops does. Fault injection is unsupported
+/// in this mode (Run() fails fast with kFaultInjectionUnsupported), virtual
+/// time does not advance, and CompletionTime() returns elapsed wall
+/// seconds. A deadlock (every live process parked in in/rd) is detected
+/// exactly, by a count of runnable processes, cancelled, and reported
+/// through deadlocked()/diagnostic() exactly like the simulator.
 ///
 /// **Distributed (ExecutionMode::kDistributed).** Each process is a forked
 /// OS process; the tuple space lives in a separate server process reached
@@ -443,10 +444,10 @@ class Runtime {
   /// Empty after a successful run.
   const std::string& diagnostic() const { return diagnostic_; }
 
-  /// The tuple space. In real-parallel mode the live tuples reside in the
-  /// sharded concurrent space while Run() is in flight and are drained back
-  /// here when it returns, so pre-seeding tuples before Run() and
-  /// harvesting results after Run() work identically in both modes.
+  /// The tuple space: seed it before Run(), harvest results after. In
+  /// distributed mode the live tuples reside in the server processes while
+  /// Run() is in flight and are drained back here when it returns, so
+  /// seeding and harvesting work identically in every mode.
   TupleSpace& space() { return space_; }
   const RuntimeStats& stats() const { return stats_; }
   int num_machines() const { return static_cast<int>(machines_.size()); }
@@ -483,17 +484,16 @@ class Runtime {
     // kSimulated: the process's fiber. Created at first start; its stack is
     // reused by every respawned incarnation.
     std::unique_ptr<Fiber> fiber;
-    // kRealParallel: the start gate the process thread waits on.
+    // kRealParallel: the process thread waits here at the start gate and
+    // while parked on real_waiters_ (state kBlocked).
     std::condition_variable cv;
 
     BlockReason block_reason = BlockReason::kNone;
     Template blocked_tmpl;  // meaningful when block_reason == kTemplate
     bool blocked_remove = false;  // in/inp vs rd/rdp
-    // Real mode: true while parked in (or cancelled out of) a blocking
-    // in/rd. Guarded by real_mu together with the blocked_* fields above,
-    // so the watchdog's liveness probe can read them mid-run.
-    bool real_blocked = false;
-    std::mutex real_mu;
+    // kRealParallel: the tuple a publish handed this parked process (taken
+    // from the space for an in, a copy for a rd). Guarded by mu_.
+    Tuple handed;
 
     // Open transaction state.
     bool txn_active = false;
@@ -603,20 +603,22 @@ class Runtime {
   int OpSpawn(Proc* proc, const std::string& name, ProcessFn fn);
 
   // --- real-parallel backend (ExecutionMode::kRealParallel) ---
-  /// Driver: transfers the seeded space into the sharded space, releases
-  /// every process thread, watches for completion/deadlock, joins, and
-  /// drains the sharded space back.
+  /// Releases every process thread, waits until no process is
+  /// runnable, cancels the parked ones if any are left (deadlock), joins.
   bool RunReal();
-  /// Watchdog liveness probe: true if any parked waiter's template matches
-  /// a tuple currently in the sharded space — that waiter is merely starved
-  /// of CPU (its wakeup is already pending), not deadlocked. Requires mu_.
-  bool AnyRealWaiterCanMatch();
   /// Elapsed wall seconds since RunReal() released the processes.
   double NowReal() const;
   void RunProcessReal(Proc* proc);
-  /// Rolls back `proc`'s open transaction (restores its ins unless the
-  /// space is closed). Called by the owning thread during unwind.
-  void RealAbortTxn(Proc* proc);
+  /// Publishes `tuple` (requires mu_): hands a copy to each matching rd
+  /// waiter and the tuple itself to the first matching in waiter, oldest
+  /// first, and stores it only if no in waiter took it. Appends the
+  /// processes it unparked to `woken`; the caller notifies them after it
+  /// releases mu_, so a woken thread does not block on a held lock.
+  void RealPublishLocked(Tuple tuple, std::vector<Proc*>* woken);
+  /// Rolls back `proc`'s open transaction (requires mu_): its ins are
+  /// published again, its outs dropped. Called by the owning thread during
+  /// unwind.
+  void RealAbortTxnLocked(Proc* proc, std::vector<Proc*>* woken);
   [[noreturn]] void FailProcReal(Proc* proc, RuntimeError::Code code,
                                  std::string detail);
   void RealOut(Proc* proc, Tuple tuple);
@@ -684,7 +686,8 @@ class Runtime {
   std::mutex mu_;
   // kSimulated: the context GrantLocked switches from and Yield returns to.
   std::unique_ptr<Fiber> scheduler_fiber_;
-  // kRealParallel: process threads wake the watchdog through this.
+  // kRealParallel: the last process to stop being runnable wakes RunReal()
+  // through this.
   std::condition_variable sched_cv_;
   bool shutdown_ = false;
   bool auto_respawn_ = true;
@@ -692,15 +695,17 @@ class Runtime {
   double completion_time_ = 0;
   double wall_time_ = 0;
 
-  // Real-parallel state. The sharded space exists only during/after a
-  // real-mode Run(); per-op counters are atomics so processes never
-  // serialize on mu_ for bookkeeping.
-  std::unique_ptr<ShardedTupleSpace> rspace_;
-  bool started_real_ = false;  // start gate (guarded by mu_)
+  // Real-parallel state, guarded by mu_ except the op counter, which an
+  // out buffered in a transaction bumps without taking the lock. Every
+  // started, unfinished process is either runnable or parked on
+  // real_waiters_ (oldest first): spawns and hand-offs raise
+  // real_runnable_, parks and finished bodies lower it. Only a runnable
+  // process can publish, so a count of 0 with a waiter left is a deadlock.
+  bool started_real_ = false;  // start gate
   std::chrono::steady_clock::time_point real_start_;
+  std::list<Proc*> real_waiters_;
+  int real_runnable_ = 0;
   std::atomic<uint64_t> real_tuple_ops_{0};
-  std::atomic<uint64_t> real_commits_{0};
-  std::atomic<uint64_t> real_aborts_{0};
 
   // Distributed state. dclient_ exists only inside a forked worker (its
   // pipelined connections to the shard servers); the supervisor's control

@@ -117,8 +117,8 @@ void SerializeTemplate(const Template& tmpl, std::string* out);
 bool DeserializeTemplate(std::string_view data, size_t* pos, Template* tmpl);
 
 /// 64-bit FNV-1a hash, one byte per step. This is the bucket-placement hash
-/// (BucketStripeIndex): changing it moves tuples between stripes and
-/// servers.
+/// (BucketStripeIndex, behind net::PlacementIndex): changing it moves
+/// tuples between shard servers.
 uint64_t Fnv1a64(std::string_view data);
 
 /// Checksum of WAL records, server snapshots and tuple-space checkpoints:

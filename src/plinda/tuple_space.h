@@ -35,8 +35,8 @@ struct BucketKeyLess {
 };
 
 /// Returns the bucket key of a tuple as a view into its first field (valid
-/// while the tuple lives). Shared with the sharded concurrent space so both
-/// index tuples identically.
+/// while the tuple lives). Callers of net::PlacementIndex hash the same
+/// key, so a tuple's server follows the bucket it is indexed under.
 BucketKeyView BucketKeyFor(const Tuple& tuple);
 
 /// Returns the single bucket key a template with an actual first field can
@@ -45,16 +45,15 @@ BucketKeyView BucketKeyFor(const Tuple& tuple);
 bool SingleBucketKeyFor(const Template& tmpl, BucketKeyView* key);
 
 /// Deterministic bucket→stripe index: FNV-1a over the key string mixed with
-/// the arity, reduced mod `n`. This is the one routing function shared by
-/// the in-process ShardedTupleSpace and the multi-server PlacementIndex, so
-/// a bucket lands on the same shard/server across restarts and across
-/// layers.
+/// the arity, reduced mod `n`. net::PlacementIndex routes each bucket to
+/// its shard server with it, so a bucket lands on the same server across
+/// restarts.
 size_t BucketStripeIndex(const BucketKeyView& key, size_t n);
 
-/// The associative shared memory of Linda. Not thread-safe by itself: the
-/// simulated NOW runtime serializes all access (simulated processes run one
-/// at a time), and unit tests exercise it directly. The thread-safe sibling
-/// used by ExecutionMode::kRealParallel is ShardedTupleSpace.
+/// The associative shared memory of Linda. Not thread-safe by itself: every
+/// owner serializes access. The simulated runtime runs one process at a
+/// time, ExecutionMode::kRealParallel takes the runtime's mutex around each
+/// op, and a shard server touches its space from one event loop.
 ///
 /// Matching is FIFO among matching tuples (oldest `out` wins), which keeps
 /// the simulated executions deterministic.
@@ -86,9 +85,9 @@ class TupleSpace {
   /// Removes every tuple.
   void Clear();
 
-  /// Removes and returns every tuple in FIFO (`out`) order. Used to hand the
-  /// space over to / back from the real-parallel backend without disturbing
-  /// the matching order.
+  /// Removes and returns every tuple in FIFO (`out`) order. Used to drain a
+  /// shard server's space back into the runtime without disturbing the
+  /// matching order.
   std::vector<Tuple> TakeAllInOrder();
 
   /// Serializes the whole space (checkpoint-protected tuple space, §2.4.6).

@@ -1,9 +1,12 @@
 #include "plinda/runtime.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -216,21 +219,28 @@ TEST(RuntimeTest, DeadlockDetected) {
 }
 
 TEST(RuntimeTest, DeadlockDiagnosticListsEveryBlockedProcess) {
-  Runtime rt(2);
-  rt.Spawn("wants-apples", [](ProcessContext& ctx) {
-    Tuple t;
-    ctx.In(MakeTemplate(A("apple"), F(ValueType::kInt)), &t);
-  });
-  rt.Spawn("wants-pears", [](ProcessContext& ctx) {
-    Tuple t;
-    ctx.Rd(MakeTemplate(A("pear"), F(ValueType::kString)), &t);
-  });
-  EXPECT_FALSE(rt.Run());
-  const std::string& diag = rt.diagnostic();
-  EXPECT_NE(diag.find("wants-apples"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("in (\"apple\", ?int)"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("wants-pears"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("rd (\"pear\", ?string)"), std::string::npos) << diag;
+  for (ExecutionMode mode :
+       {ExecutionMode::kSimulated, ExecutionMode::kRealParallel}) {
+    RuntimeOptions options;
+    options.mode = mode;
+    Runtime rt(2, options);
+    rt.Spawn("wants-apples", [](ProcessContext& ctx) {
+      Tuple t;
+      ctx.In(MakeTemplate(A("apple"), F(ValueType::kInt)), &t);
+    });
+    rt.Spawn("wants-pears", [](ProcessContext& ctx) {
+      Tuple t;
+      ctx.Rd(MakeTemplate(A("pear"), F(ValueType::kString)), &t);
+    });
+    EXPECT_FALSE(rt.Run());
+    EXPECT_TRUE(rt.deadlocked());
+    const std::string& diag = rt.diagnostic();
+    EXPECT_NE(diag.find("wants-apples"), std::string::npos) << diag;
+    EXPECT_NE(diag.find("in (\"apple\", ?int)"), std::string::npos) << diag;
+    EXPECT_NE(diag.find("wants-pears"), std::string::npos) << diag;
+    EXPECT_NE(diag.find("rd (\"pear\", ?string)"), std::string::npos)
+        << diag;
+  }
 }
 
 TEST(RuntimeTest, DiagnosticEmptyOnSuccess) {
@@ -612,6 +622,334 @@ TEST(RuntimeFiberTest, RespawnAfterMidTransactionKillReusesStack) {
   // reused the first incarnation's stack.
   ASSERT_EQ(faulty_frames.size(), 2u);
   EXPECT_EQ(faulty_frames[0], faulty_frames[1]);
+}
+
+// --- kRealParallel: OS threads on the runtime's one tuple space -----------
+//
+// These run in fpdm_plinda_tests, so every tier-1 run also executes them
+// under ThreadSanitizer (see run_tsan.cmake): the concurrent cases double
+// as race detectors for the real-mode op paths and the waiter hand-off.
+
+RuntimeOptions RealOptions() {
+  RuntimeOptions options;
+  options.mode = ExecutionMode::kRealParallel;
+  return options;
+}
+
+Template TaskTemplate() {
+  return MakeTemplate(A("task"), F(ValueType::kInt));
+}
+
+TEST(RealParallelRuntimeTest, WorkersDrainTasksThroughTransactions) {
+  constexpr int kWorkers = 4;
+  constexpr int kTasks = 200;
+  Runtime runtime(kWorkers, RealOptions());
+  for (int i = 0; i < kTasks; ++i) {
+    runtime.space().Out(MakeTuple("task", int64_t{i}));
+  }
+  for (int w = 0; w < kWorkers; ++w) {
+    runtime.space().Out(MakeTuple("task", int64_t{-1}));
+  }
+  for (int w = 0; w < kWorkers; ++w) {
+    runtime.Spawn("worker-" + std::to_string(w), [](ProcessContext& ctx) {
+      for (;;) {
+        ctx.XStart();
+        Tuple task;
+        ctx.In(TaskTemplate(), &task);
+        const int64_t i = GetInt(task, 1);
+        if (i < 0) {
+          ctx.XCommit();
+          return;
+        }
+        ctx.Compute(1.0);
+        ctx.Out(MakeTuple("done", i, i * 2));
+        ctx.XCommit();
+      }
+    });
+  }
+  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
+  EXPECT_FALSE(runtime.deadlocked());
+  EXPECT_GE(runtime.wall_time(), 0.0);
+  EXPECT_EQ(runtime.CompletionTime(), runtime.wall_time());
+  Template done = MakeTemplate(A("done"), F(ValueType::kInt),
+                               F(ValueType::kInt));
+  EXPECT_EQ(runtime.space().CountMatches(done), static_cast<size_t>(kTasks));
+  EXPECT_EQ(runtime.stats().transactions_committed,
+            static_cast<uint64_t>(kTasks + kWorkers));
+  EXPECT_EQ(runtime.stats().total_work, static_cast<double>(kTasks));
+}
+
+TEST(RealParallelRuntimeTest, DeadlockIsDetectedAndDiagnosed) {
+  Runtime runtime(2, RealOptions());
+  runtime.Spawn("stuck-a", [](ProcessContext& ctx) {
+    Tuple t;
+    ctx.In(MakeTemplate(A("never"), F(ValueType::kInt)), &t);
+  });
+  runtime.Spawn("stuck-b", [](ProcessContext& ctx) {
+    Tuple t;
+    ctx.Rd(MakeTemplate(F(ValueType::kString)), &t);  // formal-first waiter
+  });
+  EXPECT_FALSE(runtime.Run());
+  EXPECT_TRUE(runtime.deadlocked());
+  const std::string& diag = runtime.diagnostic();
+  EXPECT_NE(diag.find("stuck-a"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("in (\"never\", ?int)"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("stuck-b"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("rd (?string)"), std::string::npos) << diag;
+  EXPECT_EQ(runtime.stats().processes_killed, 2u);
+}
+
+// The deadlock cancel wakes every parked process, whatever its template,
+// and unwinds its stack; an open transaction's ins go back to the space.
+TEST(RealParallelRuntimeTest, DeadlockCancelUnwindsEveryParkedProcess) {
+  Runtime runtime(3, RealOptions());
+  runtime.space().Out(MakeTuple("task", int64_t{1}));
+  std::atomic<int> unwound{0};
+  struct Sentinel {  // UnwindSentinel, safe across threads
+    std::atomic<int>* count;
+    ~Sentinel() { ++*count; }
+  };
+  runtime.Spawn("in-actual-first", [&](ProcessContext& ctx) {
+    Sentinel sentinel{&unwound};
+    ctx.XStart();
+    Tuple task;
+    ctx.In(TaskTemplate(), &task);
+    Tuple never;
+    ctx.In(MakeTemplate(A("never"), F(ValueType::kInt)), &never);
+    ctx.XCommit();
+  });
+  runtime.Spawn("rd-formal-first", [&](ProcessContext& ctx) {
+    Sentinel sentinel{&unwound};
+    Tuple never;
+    ctx.Rd(MakeTemplate(F(ValueType::kString), F(ValueType::kDouble)),
+           &never);
+  });
+  runtime.Spawn("finisher", [](ProcessContext& ctx) { ctx.Compute(1.0); });
+  EXPECT_FALSE(runtime.Run());
+  EXPECT_TRUE(runtime.deadlocked());
+  EXPECT_EQ(unwound.load(), 2);
+  EXPECT_EQ(runtime.stats().processes_killed, 2u);
+  EXPECT_EQ(runtime.stats().transactions_aborted, 1u);
+  EXPECT_EQ(runtime.space().CountMatches(TaskTemplate()), 1u);
+  EXPECT_EQ(runtime.diagnostic().find("finisher"), std::string::npos)
+      << runtime.diagnostic();
+}
+
+TEST(RealParallelRuntimeTest, FaultInjectionIsRejected) {
+  Runtime runtime(2, RealOptions());
+  runtime.ScheduleFailure(1, 5.0);
+  runtime.Spawn("worker", [](ProcessContext& ctx) { ctx.Compute(1.0); });
+  EXPECT_FALSE(runtime.Run());
+  ASSERT_EQ(runtime.errors().size(), 1u);
+  EXPECT_EQ(runtime.errors()[0].code,
+            RuntimeError::Code::kFaultInjectionUnsupported);
+  EXPECT_NE(runtime.diagnostic().find("fault injection"), std::string::npos);
+}
+
+TEST(RealParallelRuntimeTest, ProtocolErrorAbortsAndRestoresTransactionIns) {
+  Runtime runtime(2, RealOptions());
+  runtime.space().Out(MakeTuple("abortable", int64_t{42}));
+  runtime.Spawn("aborter", [](ProcessContext& ctx) {
+    ctx.XStart();
+    Tuple t;
+    ctx.In(MakeTemplate(A("abortable"), F(ValueType::kInt)), &t);
+    ctx.XStart();  // nested: protocol error unwinds and aborts the txn
+  });
+  EXPECT_FALSE(runtime.Run());
+  ASSERT_EQ(runtime.errors().size(), 1u);
+  EXPECT_EQ(runtime.errors()[0].code, RuntimeError::Code::kNestedXStart);
+  // The abort restored the removed tuple.
+  EXPECT_EQ(runtime.space().CountMatches(
+                MakeTemplate(A("abortable"), F(ValueType::kInt))),
+            1u);
+  EXPECT_EQ(runtime.stats().transactions_aborted, 1u);
+}
+
+TEST(RealParallelRuntimeTest, ContinuationsRoundTrip) {
+  Runtime runtime(1, RealOptions());
+  std::atomic<bool> recovered{false};
+  runtime.Spawn("committer", [&](ProcessContext& ctx) {
+    Tuple ignored;
+    EXPECT_FALSE(ctx.XRecover(&ignored));  // fresh process: no continuation
+    ctx.XStart();
+    ctx.XCommit(MakeTuple("state", int64_t{7}));
+    Tuple cont;
+    ASSERT_TRUE(ctx.XRecover(&cont));
+    EXPECT_EQ(GetString(cont, 0), "state");
+    EXPECT_EQ(GetInt(cont, 1), 7);
+    recovered = true;
+  });
+  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
+  EXPECT_TRUE(recovered.load());
+}
+
+TEST(RealParallelRuntimeTest, FormalFirstBlockingRdSeesLatePublish) {
+  Runtime runtime(2, RealOptions());
+  std::atomic<bool> got{false};
+  runtime.Spawn("reader", [&](ProcessContext& ctx) {
+    Tuple t;
+    ctx.Rd(MakeTemplate(F(ValueType::kString), F(ValueType::kInt)), &t);
+    EXPECT_EQ(GetString(t, 0), "late");
+    got = true;
+  });
+  runtime.Spawn("writer", [](ProcessContext& ctx) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ctx.Out(MakeTuple("late", int64_t{1}));
+  });
+  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
+  EXPECT_TRUE(got.load());
+  // A rd hands over a copy: the tuple stays in the space.
+  EXPECT_EQ(runtime.space().CountMatches(
+                MakeTemplate(A("late"), F(ValueType::kInt))),
+            1u);
+}
+
+TEST(RealParallelRuntimeTest, DynamicSpawnRunsImmediately) {
+  Runtime runtime(2, RealOptions());
+  runtime.Spawn("parent", [](ProcessContext& ctx) {
+    ctx.Spawn("child", [](ProcessContext& cctx) {
+      cctx.Out(MakeTuple("child_done", int64_t{1}));
+    });
+    Tuple t;
+    ctx.In(MakeTemplate(A("child_done"), F(ValueType::kInt)), &t);
+  });
+  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
+}
+
+// Transactions committing and aborting concurrently: workers drain tasks
+// while aborters repeatedly die mid-transaction; every abortable tuple must
+// be restored and every task still processed exactly once.
+TEST(RealParallelRuntimeTest, ConcurrentCommitsAndAborts) {
+  constexpr int kWorkers = 3;
+  constexpr int kAborters = 2;
+  constexpr int kTasks = 120;
+  Runtime runtime(kWorkers + kAborters, RealOptions());
+  for (int i = 0; i < kTasks; ++i) {
+    runtime.space().Out(MakeTuple("task", int64_t{i}));
+  }
+  for (int w = 0; w < kWorkers; ++w) {
+    runtime.space().Out(MakeTuple("task", int64_t{-1}));
+  }
+  for (int a = 0; a < kAborters; ++a) {
+    runtime.space().Out(MakeTuple("abortable", int64_t{a}));
+  }
+  for (int w = 0; w < kWorkers; ++w) {
+    runtime.Spawn("worker-" + std::to_string(w), [](ProcessContext& ctx) {
+      for (;;) {
+        ctx.XStart();
+        Tuple task;
+        ctx.In(TaskTemplate(), &task);
+        if (GetInt(task, 1) < 0) {
+          ctx.XCommit();
+          return;
+        }
+        ctx.Out(MakeTuple("done", GetInt(task, 1)));
+        ctx.XCommit();
+      }
+    });
+  }
+  for (int a = 0; a < kAborters; ++a) {
+    runtime.Spawn("aborter-" + std::to_string(a), [](ProcessContext& ctx) {
+      ctx.XStart();
+      Tuple t;
+      ctx.In(MakeTemplate(A("abortable"), F(ValueType::kInt)), &t);
+      ctx.XStart();  // protocol error: transaction aborts, tuple restored
+    });
+  }
+  EXPECT_FALSE(runtime.Run());  // aborters report protocol errors
+  EXPECT_EQ(runtime.errors().size(), static_cast<size_t>(kAborters));
+  EXPECT_EQ(runtime.space().CountMatches(
+                MakeTemplate(A("done"), F(ValueType::kInt))),
+            static_cast<size_t>(kTasks));
+  EXPECT_EQ(runtime.space().CountMatches(
+                MakeTemplate(A("abortable"), F(ValueType::kInt))),
+            static_cast<size_t>(kAborters));
+  EXPECT_EQ(runtime.stats().transactions_aborted,
+            static_cast<uint64_t>(kAborters));
+}
+
+// Producers publish into several buckets while consumers compete for the
+// same tuples through actual-first templates (one bucket each) and
+// formal-string-first templates (every bucket of the arity). Every tuple
+// is consumed exactly once. Each consumption is acknowledged with an
+// arity-3 tuple no consumer matches; after the last ack the coordinator
+// stops the formal-first consumers with ("stop", -1) (no actual-first
+// template matches it), and only once they are gone sends each
+// actual-first consumer its own poison, which nothing else can steal.
+TEST(RealParallelRuntimeTest, ConcurrentProducersAndMixedConsumers) {
+  constexpr int kProducers = 4;
+  constexpr int kBuckets = 3;  // one actual-first consumer per bucket
+  constexpr int kFormalConsumers = 2;
+  constexpr int kPerProducer = 300;
+  constexpr int kTotal = kProducers * kPerProducer;
+  const Template any_pair =
+      MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
+  const Template ack =
+      MakeTemplate(A("ack"), F(ValueType::kInt), F(ValueType::kInt));
+  const Template stopped = MakeTemplate(A("stopped"));
+
+  Runtime runtime(kProducers + kBuckets + kFormalConsumers + 1,
+                  RealOptions());
+  // consumed[c]: values consumer c took; each written by one thread only.
+  std::vector<std::vector<int64_t>> consumed(kBuckets + kFormalConsumers);
+  for (int p = 0; p < kProducers; ++p) {
+    runtime.Spawn("producer-" + std::to_string(p), [=](ProcessContext& ctx) {
+      for (int j = 0; j < kPerProducer; ++j) {
+        const int64_t value = int64_t{p} * kPerProducer + j;
+        ctx.Out(MakeTuple("work" + std::to_string(value % kBuckets), value));
+      }
+    });
+  }
+  auto consumer = [&](int c, Template tmpl) {
+    return [&consumed, &ack, c, tmpl](ProcessContext& ctx) {
+      for (;;) {
+        Tuple t;
+        ctx.In(tmpl, &t);
+        const int64_t value = GetInt(t, 1);
+        if (value < 0) return;
+        consumed[static_cast<size_t>(c)].push_back(value);
+        ctx.Out(MakeTuple("ack", value, int64_t{c}));
+      }
+    };
+  };
+  for (int b = 0; b < kBuckets; ++b) {
+    runtime.Spawn(
+        "consumer-work" + std::to_string(b),
+        consumer(b, MakeTemplate(A("work" + std::to_string(b)),
+                                 F(ValueType::kInt))));
+  }
+  for (int f = 0; f < kFormalConsumers; ++f) {
+    const int c = kBuckets + f;
+    auto consume = consumer(c, any_pair);
+    runtime.Spawn("consumer-formal-" + std::to_string(f),
+                  [consume](ProcessContext& ctx) {
+                    consume(ctx);
+                    ctx.Out(MakeTuple("stopped"));
+                  });
+  }
+  runtime.Spawn("coordinator", [&](ProcessContext& ctx) {
+    Tuple t;
+    for (int i = 0; i < kTotal; ++i) ctx.In(ack, &t);
+    for (int f = 0; f < kFormalConsumers; ++f) {
+      ctx.Out(MakeTuple("stop", int64_t{-1}));
+    }
+    for (int f = 0; f < kFormalConsumers; ++f) ctx.In(stopped, &t);
+    for (int b = 0; b < kBuckets; ++b) {
+      ctx.Out(MakeTuple("work" + std::to_string(b), int64_t{-1}));
+    }
+  });
+  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
+
+  std::vector<int64_t> all;
+  for (const auto& values : consumed) {
+    all.insert(all.end(), values.begin(), values.end());
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), static_cast<size_t>(kTotal));
+  for (int64_t i = 0; i < kTotal; ++i) {
+    EXPECT_EQ(all[static_cast<size_t>(i)], i);
+  }
+  EXPECT_TRUE(runtime.space().empty());
 }
 
 }  // namespace

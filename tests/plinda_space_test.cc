@@ -1,5 +1,8 @@
 #include "plinda/tuple_space.h"
 
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "util/random.h"
 
@@ -242,6 +245,19 @@ TEST(TupleSpaceTest, ManyTuplesStressFifo) {
     Tuple t;
     ASSERT_TRUE(space.TryIn(q, &t));
     EXPECT_EQ(GetInt(t, 1), i);
+  }
+  EXPECT_TRUE(space.empty());
+}
+
+TEST(TupleSpaceTest, TakeAllInOrderPreservesOutOrder) {
+  TupleSpace space;
+  for (int i = 0; i < 10; ++i) {
+    space.Out(MakeTuple("k" + std::to_string(i % 3), int64_t{i}));
+  }
+  std::vector<Tuple> all = space.TakeAllInOrder();
+  ASSERT_EQ(all.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(GetInt(all[static_cast<size_t>(i)], 1), i);
   }
   EXPECT_TRUE(space.empty());
 }
